@@ -10,26 +10,16 @@ from .tree import (
     decode_prufer,
     encode_prufer,
 )
-from .rates import (
-    SubtreeProblem,
-    SubtreeInvariantError,
-    build_subtree_problem,
-    compute_rates,
-    compute_rates_rec,
-    prune_free_leaves,
-    reduce_node,
-    star_solve,
-)
 from .projection import (
     DegeneracyError,
     PathState,
     ProjectionResult,
-    next_critical,
+    compute_rates,
     project,
+    project_incremental,
     project_matrix,
     recover_solution,
 )
-from .incremental import project_incremental
 from .oracle import OracleSolution, oracle_dual_at_t, oracle_project
 from .baselines import (
     ConvergenceTrace,
@@ -55,10 +45,7 @@ from .generate import GaltonWatsonSpec, galton_watson_tree, random_instance
 __all__ = [
     "RootedTree", "TreeInputError", "ancestor_sums", "ancestry_matrix",
     "closest_ancestor_matrix", "count_trees", "decode_prufer", "encode_prufer",
-    "SubtreeProblem", "SubtreeInvariantError", "build_subtree_problem",
-    "compute_rates", "compute_rates_rec", "prune_free_leaves", "reduce_node",
-    "star_solve",
-    "DegeneracyError", "PathState", "ProjectionResult", "next_critical",
+    "DegeneracyError", "PathState", "ProjectionResult", "compute_rates",
     "project", "project_matrix", "recover_solution", "project_incremental",
     "OracleSolution", "oracle_dual_at_t", "oracle_project",
     "ConvergenceTrace", "SolverConfig", "admm_dual", "admm_primal", "autotune",

@@ -134,17 +134,25 @@ class TreeOps:
 
     def gram_lmax(self, iters=60, seed=0):
         """Power-iteration estimate of the largest eigenvalue of U^T U."""
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(self.q)
-        x /= np.linalg.norm(x)
-        lam = 1.0
-        for _ in range(iters):
-            y = self.ancestor_cumsum(self.subtree_sum(x))
-            lam = float(np.linalg.norm(y))
-            if lam == 0.0:
-                return 1.0
-            x = y / lam
-        return lam
+        return _power_lmax(lambda x: self.ancestor_cumsum(self.subtree_sum(x)),
+                           self.q, iters, seed)
+
+
+def _power_lmax(apply, q, iters, seed):
+    """Power iteration for the largest eigenvalue of the symmetric positive
+    semidefinite operator ``apply`` on R^q, from a seeded random start;
+    1.0 when the iterate vanishes."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(q)
+    x /= np.linalg.norm(x)
+    lam = 1.0
+    for _ in range(iters):
+        y = apply(x)
+        lam = float(np.linalg.norm(y))
+        if lam == 0.0:
+            return 1.0
+        x = y / lam
+    return lam
 
 
 def simplex_project(v):
@@ -395,17 +403,10 @@ def pgd_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
 
 
 def _dual_lmax(ops: TreeOps, iters=60, seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(ops.q)
-    x /= np.linalg.norm(x)
-    lam = 1.0
-    for _ in range(iters):
-        y = ops.subtract_children(ops.diff_parent(x))
-        lam = float(np.linalg.norm(y))
-        if lam == 0.0:
-            return 1.0
-        x = y / lam
-    return lam
+    """Power-iteration estimate of the largest eigenvalue of the dual
+    quadratic's operator."""
+    return _power_lmax(lambda x: ops.subtract_children(ops.diff_parent(x)),
+                       ops.q, iters, seed)
 
 
 SOLVERS = {

@@ -19,12 +19,9 @@ import numpy as np
 
 from .baselines import SOLVERS, SolverConfig, TreeOps, _dual_lmax, autotune
 from .generate import GaltonWatsonSpec, galton_watson_tree
-from .incremental import project_incremental
 from .projection import project
 
 BENCH_HEADER = "size,solver,trial,seed,time_sec,error,converged"
-
-EXACT_SOLVERS = ("exact", "exact-basic")
 
 
 @dataclass
@@ -79,7 +76,7 @@ def run_bench(sizes, solvers, trials, seed, cmin=1, cmax=4, p=1,
     is an optional text file the CSV is streamed to.
     """
     for s in solvers:
-        if s not in EXACT_SOLVERS and s not in SOLVERS:
+        if s != "exact" and s not in SOLVERS:
             raise ValueError(f"unknown solver {s!r}")
     rows = []
     if out is not None:
@@ -90,19 +87,12 @@ def run_bench(sizes, solvers, trials, seed, cmin=1, cmax=4, p=1,
                                                   cmin=cmin, cmax=cmax, p=p)
             fcol = fhat[:, 0]
             t0 = time.perf_counter()
-            ref = project_incremental(tree, fcol)
+            ref = project(tree, fcol)
             exact_time = time.perf_counter() - t0
             for solver_id in solvers:
                 if solver_id == "exact":
                     row = BenchRow(size, solver_id, trial, inst_seed,
                                    exact_time, 0.0, True)
-                elif solver_id == "exact-basic":
-                    t0 = time.perf_counter()
-                    res = project(tree, fcol)
-                    elapsed = time.perf_counter() - t0
-                    err = float(np.max(np.abs(res.m_star - ref.m_star)))
-                    row = BenchRow(size, solver_id, trial, inst_seed,
-                                   elapsed, err, True)
                 else:
                     grid = default_grid(solver_id, tree, tol, max_iters)
                     cfg = autotune(solver_id, tree, fcol, grid,

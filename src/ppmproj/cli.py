@@ -14,12 +14,10 @@ import numpy as np
 
 from . import io as pio
 from .bench import run_bench
-from .generate import GaltonWatsonSpec, galton_watson_tree
-from .incremental import project_incremental
-from .projection import DegeneracyError
+from .generate import GaltonWatsonSpec, galton_watson_tree, random_instance
+from .projection import DegeneracyError, project_matrix
 from .search import SEARCH_Q_LIMIT, SearchReport, SearchSpec, search_all
-from .tree import (TreeInputError, ancestry_matrix, count_trees,
-                   decode_prufer, encode_prufer)
+from .tree import TreeInputError, count_trees, decode_prufer, encode_prufer
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,8 +53,8 @@ def build_parser():
     b = sub.add_parser("bench", help="timed solver comparison on random instances")
     b.add_argument("--sizes", default="100", help="comma-separated tree sizes")
     b.add_argument("--solvers", default="exact",
-                   help="comma-separated: exact,exact-basic,admm-primal,"
-                        "admm-dual,pgd-primal,pgd-dual")
+                   help="comma-separated: exact,admm-primal,admm-dual,"
+                        "pgd-primal,pgd-dual")
     b.add_argument("--trials", type=int, default=3)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--cmin", type=int, default=1)
@@ -105,9 +103,7 @@ def _cmd_project(args):
             args.matrix)
     for note in pio.frequency_warnings(fhat):
         print(f"warning: {note}", file=sys.stderr)
-    results = [project_incremental(tree, fhat[:, s])
-               for s in range(fhat.shape[1])]
-    total = float(np.sqrt(sum(r.cost ** 2 for r in results)))
+    results, total = project_matrix(tree, fhat)
     _emit(pio.projection_payload(results, total), args.out)
     return EXIT_OK
 
@@ -153,12 +149,8 @@ def _cmd_gen(args):
                             seed=args.seed)
     rng = np.random.default_rng(args.seed)
     tree = galton_watson_tree(spec, rng=rng)
-    if args.feasible:
-        u = ancestry_matrix(tree).astype(float)
-        m = rng.dirichlet(np.ones(args.q), size=args.p).T
-        fhat = u @ m
-    else:
-        fhat = rng.standard_normal((args.q, args.p))
+    _, fhat = random_instance(args.q, args.p, rng=rng, feasible=args.feasible,
+                              tree=tree)
     pio.save_tree(tree, args.out_tree)
     pio.save_matrix(fhat, args.out_matrix)
     return EXIT_OK

@@ -3,14 +3,21 @@
 For one frequency column the projection is computed by following the
 piecewise-linear path of the dual minimizer as the scalar dual variable t
 decreases.  Starting from the largest cumulative frequency sum, nodes join
-the constraint boundary one segment at a time; each segment's slopes come
-from :mod:`ppmproj.rates`.  The sweep stops as soon as the objective
-derivative drops below -1, pins down the optimal t by linear interpolation
-on the final segment, and converts the dual minimizer into the projected
-mutant fractions and frequencies.
+the constraint boundary one segment at a time.  Each segment's slopes come
+from one two-pass elimination over the free forest (:func:`_slope_pass`):
+bottom-up, every free node collapses its children into a harmonic-weight
+line (free leaves contribute nothing, which prunes them); top-down, every
+free node solves the star formed by its parent and its reduced children.
+The sweep stops as soon as the objective derivative drops below -1, pins
+down the optimal t by linear interpolation on the final segment, and
+converts the dual minimizer into the projected mutant fractions and
+frequencies.
 
-The sweep is finite: at most q segments, each costing O(q), so a column
-costs O(q^2) in the worst case.
+:func:`_sweep` is the library's only sweep.  It works on flat 1-indexed
+lists so that :func:`project` and the exhaustive search share it; only the
+final arrays of :func:`project` become numpy.  The reduction, the crossing
+scan and the update visit only the free nodes, and the star pass every
+node, so a column costs O(q) per segment over at most q + 1 segments.
 """
 
 from __future__ import annotations
@@ -21,10 +28,14 @@ from typing import Optional
 
 import numpy as np
 
-from .rates import RATE_ONE_EPS, _compute_rates_internal
-from .tree import RootedTree, ancestor_sums
+from .tree import RootedTree
 
 LSECOND_GUARD = 1e-14
+# A free node whose slope is within this of 1 moves parallel to its
+# constraint line and never crosses it.
+RATE_ONE_EPS = 1e-12
+
+_NEG_INF = float("-inf")
 
 
 class DegeneracyError(ArithmeticError):
@@ -33,7 +44,8 @@ class DegeneracyError(ArithmeticError):
 
 def tie_tolerance(t: float) -> float:
     """Absolute tolerance for grouping simultaneous boundary events at t."""
-    return 1e-9 * max(1.0, abs(t))
+    a = abs(t)
+    return 1e-9 * (a if a > 1.0 else 1.0)
 
 
 @dataclass
@@ -83,117 +95,188 @@ def recover_solution(tree: RootedTree, z_star):
     return m, f
 
 
-def next_critical(state: PathState, sums):
-    """Largest t below the current critical value where a free node's path
-    line meets its constraint line.
+def _slope_pass(free_desc, order, parent, children, fixed, rate, s_arr, a_arr,
+                counters=None):
+    """Slopes of one segment; fills ``rate`` for the free nodes in place and
+    returns the curvature L''.
 
-    Returns ``(t_next, newly_fixed)``; ``t_next`` is None when every free
-    node moves at unit rate (parallel lines never intersect), which leaves
-    the exit on the derivative test.  All candidates within the tie
-    tolerance of the maximum are returned together.
+    ``free_desc`` lists the free nodes children first (reverse BFS order)
+    and ``order`` is a BFS order of all nodes.  Fixed nodes move at rate 1
+    and ``rate[0]`` is the zero anchor above the root.
+
+    Bottom-up, free node u reduces its children to a line of slope
+    ``a_arr[u] / s_arr[u]`` with weight ``s_arr[u]``: a fixed child adds
+    weight 1 at slope 1, a free child c adds its line at the harmonic weight
+    ``1 / (1 + 1 / s_arr[c])``, and a child with ``s_arr[c] == 0`` (a free
+    subtree without boundary nodes) adds nothing.  Top-down, u's slope is
+    the weighted average of its parent's slope and that line.
     """
-    n = np.asarray(sums, dtype=float)
-    t_i = state.t
-    boundary = state.boundary
-    z = state.z
-    rate = state.z_rate
-    best = -math.inf
-    p_vals = {}
-    for r in range(1, len(n) + 1):
-        if r in boundary:
-            continue
-        c = rate[r - 1]
-        if c >= 1.0 - RATE_ONE_EPS:
-            continue
-        p_r = (n[r - 1] + z[r - 1] - t_i * c) / (1.0 - c)
-        if p_r >= t_i:
-            continue
-        p_vals[r] = p_r
-        if p_r > best:
-            best = p_r
-    if not p_vals:
-        return None, frozenset()
-    eps = tie_tolerance(best)
-    newly = frozenset(r for r, p_r in p_vals.items() if p_r >= best - eps)
-    return best, newly
+    for u in free_desc:
+        s = a = 0.0
+        for c in children[u]:
+            if fixed[c]:
+                s += 1.0
+                a += 1.0
+            else:
+                sc = s_arr[c]
+                if sc > 0.0:
+                    g = 1.0 / (1.0 + 1.0 / sc)
+                    s += g
+                    a += g * (a_arr[c] / sc)
+        s_arr[u] = s
+        a_arr[u] = a
+    lpp = 0.0
+    for u in order:
+        if fixed[u]:
+            d = 1.0 - rate[parent[u]]
+        else:
+            pa = rate[parent[u]]
+            r_u = (pa + a_arr[u]) / (1.0 + s_arr[u])
+            rate[u] = r_u
+            d = r_u - pa
+        lpp += d * d
+    if counters is not None:
+        free_parent = sum(1 for u in free_desc if not fixed[parent[u]] and parent[u])
+        counters["components"] = (counters.get("components", 0)
+                                  + len(free_desc) - free_parent)
+        counters["nodes_visited"] = counters.get("nodes_visited", 0) + len(free_desc)
+        counters["reduce_ops"] = counters.get("reduce_ops", 0) + free_parent
+        counters["star_ops"] = counters.get("star_ops", 0) + len(free_desc)
+        counters["edges_touched"] = (counters.get("edges_touched", 0)
+                                     + sum(len(children[u]) for u in free_desc))
+    return lpp
 
 
-def _sweep(tree: RootedTree, fhat_col, keep_path=False, counters=None):
-    """Run the path-following sweep; shared core of :func:`project`."""
+def compute_rates(tree: RootedTree, boundary, counters=None):
+    """Path slopes for a given boundary set.
+
+    Returns ``(z_rate, lsecond)`` where ``z_rate`` is a length-q array
+    (entry i-1 for node i, equal to 1 on the boundary and in [0, 1]
+    elsewhere) and ``lsecond`` is the curvature of the dual objective on the
+    current segment, the sum of squared slope differences across all edges
+    (the root differencing against zero).
+    """
+    if not boundary:
+        raise ValueError("boundary set must be nonempty")
     q = tree.q
-    n_arr = ancestor_sums(tree, fhat_col)
-    n = [0.0] + n_arr.tolist()
-    tparent = tree.parent
+    labels = [int(b) for b in boundary]
+    if not all(1 <= b <= q for b in labels):
+        raise ValueError(f"boundary labels must lie in 1..{q}")
+    fixed = [False] * (q + 1)
+    rate = [0.0] * (q + 1)
+    for b in labels:
+        fixed[b] = True
+        rate[b] = 1.0
+    order = tree.bfs_order()
+    free_desc = [u for u in reversed(order) if not fixed[u]]
+    lsecond = _slope_pass(free_desc, order, tree.parent, tree.children, fixed,
+                          rate, [0.0] * (q + 1), [0.0] * (q + 1), counters)
+    return np.array(rate[1:]), lsecond
 
+
+def _sweep(q, parent, children, order, f, path=None, counters=None):
+    """Project one column given as flat 1-indexed lists.
+
+    ``parent[v]`` is 0 for the root, ``order`` is a BFS order and ``f[v]``
+    the frequency of node v (``f[0]`` is unused).  Appends one
+    :class:`PathState` per segment to ``path`` when it is a list, and
+    tallies :func:`_slope_pass` counts into ``counters`` when it is a dict.
+
+    Returns ``(t_star, z, m, f_star, cost2, segments)``, the vectors as
+    1-indexed lists and ``cost2`` the squared Euclidean cost.  A fixed
+    node's dual value is ``t - n[r]`` at every t, so it is written out only
+    where it is read: in path records and at finalization.
+    """
+    n = [0.0] * (q + 1)
+    for v in order:
+        n[v] = f[v] + n[parent[v]]
     t = max(n[1:])
     eps = tie_tolerance(t)
     fixed = [False] * (q + 1)
+    rate = [0.0] * (q + 1)
+    free_desc = []
+    for v in order:
+        if n[v] >= t - eps:
+            fixed[v] = True
+            rate[v] = 1.0
+        else:
+            free_desc.append(v)
+    free_desc.reverse()
     z = [0.0] * (q + 1)
-    for r in range(1, q + 1):
-        if n[r] >= t - eps:
-            fixed[r] = True
-            z[r] = t - n[r]
+    cross = [0.0] * (q + 1)
+    s_arr = [0.0] * (q + 1)
+    a_arr = [0.0] * (q + 1)
+    neg_inf = _NEG_INF
+    crossing_rate = 1.0 - RATE_ONE_EPS
     lp = 0.0
-    path = [] if keep_path else None
-    iterations = 0
-    rate = None
-    lpp = None
+    segments = 0
 
     while True:
-        iterations += 1
-        if iterations > q + 1:
+        segments += 1
+        if segments > q + 1:
             raise AssertionError("sweep exceeded the segment bound")
-        rate, lpp = _compute_rates_internal(tree, fixed, counters=counters)
-        if keep_path:
+        lpp = _slope_pass(free_desc, order, parent, children, fixed, rate,
+                          s_arr, a_arr, counters)
+        if path is not None:
             path.append(PathState(
-                index=iterations, t=t,
+                index=segments, t=t,
                 boundary=frozenset(r for r in range(1, q + 1) if fixed[r]),
-                z=np.array(z[1:]), z_rate=np.array(rate[1:]),
-                lprime=lp, lsecond=lpp,
+                z=np.array([t - n[r] if fixed[r] else z[r] for r in range(1, q + 1)]),
+                z_rate=np.array(rate[1:]), lprime=lp, lsecond=lpp,
             ))
 
-        best = -math.inf
-        p_list = None
-        for r in range(1, q + 1):
-            if fixed[r]:
-                continue
+        # Next critical value: the largest crossing point below t of a free
+        # node's path line with its constraint line.
+        best = neg_inf
+        for r in free_desc:
             c = rate[r]
-            if c >= 1.0 - RATE_ONE_EPS:
-                continue
-            p_r = (n[r] + z[r] - t * c) / (1.0 - c)
-            if p_r >= t:
-                continue
-            if p_list is None:
-                p_list = [-math.inf] * (q + 1)
-            p_list[r] = p_r
-            if p_r > best:
-                best = p_r
-        if p_list is None:
+            pr = neg_inf
+            if c < crossing_rate:
+                pr = (n[r] + z[r] - t * c) / (1.0 - c)
+                if pr >= t:
+                    pr = neg_inf
+                elif pr > best:
+                    best = pr
+            cross[r] = pr
+        if best == neg_inf:
             break
-
-        t_next = best
-        lp_next = lp + (t_next - t) * lpp
+        lp_next = lp + (best - t) * lpp
         if lp_next < -1.0:
             break
-
-        dt = t_next - t
-        for r in range(1, q + 1):
-            z[r] += dt * rate[r]
-        eps = tie_tolerance(t_next)
-        for r in range(1, q + 1):
-            if p_list[r] >= t_next - eps:
+        dt = best - t
+        thresh = best - tie_tolerance(best)
+        still_free = []
+        for r in free_desc:
+            if cross[r] >= thresh:
                 fixed[r] = True
-            if fixed[r]:
-                z[r] = t_next - n[r]
-        t = t_next
+                rate[r] = 1.0
+            else:
+                z[r] += dt * rate[r]
+                still_free.append(r)
+        free_desc = still_free
+        t = best
         lp = lp_next
 
     if lpp < LSECOND_GUARD:
         raise DegeneracyError(
             f"curvature {lpp} vanished at finalization (expected > 0)")
     t_star = t - (1.0 + lp) / lpp
-    z_star = np.array([z[r] + (t_star - t) * rate[r] for r in range(1, q + 1)])
-    return t_star, z_star, iterations, path
+    step = t_star - t
+    zs = [t - n[i] + step if fixed[i] else z[i] + step * rate[i]
+          for i in range(q + 1)]
+    m = [0.0] * (q + 1)
+    fstar = [0.0] * (q + 1)
+    cost2 = 0.0
+    for i in range(1, q + 1):
+        p = parent[i]
+        fi = -zs[i] + zs[p]
+        fstar[i] = fi
+        m[i] += fi
+        if p:
+            m[p] -= fi
+        d = f[i] - fi
+        cost2 += d * d
+    return t_star, zs, m, fstar, cost2, segments
 
 
 def project(tree: RootedTree, fhat_col, keep_path=False,
@@ -206,17 +289,29 @@ def project(tree: RootedTree, fhat_col, keep_path=False,
     frequencies ``f_star``, the dual values, and the Euclidean cost.
 
     With ``keep_path=True`` the result carries the list of per-segment
-    :class:`PathState` records for path-structure inspection.
+    :class:`PathState` records for path-structure inspection.  A dict passed
+    as ``counters`` accumulates, over the slope passes, the free components,
+    free nodes visited, reductions, star solves and child edges scanned.
     """
+    q = tree.q
     f = np.asarray(fhat_col, dtype=float).reshape(-1)
-    t_star, z_star, iterations, path = _sweep(tree, f, keep_path=keep_path,
-                                              counters=counters)
-    m, fv = recover_solution(tree, z_star)
-    cost = float(np.linalg.norm(f - fv))
+    if f.shape != (q,):
+        raise ValueError(f"expected a length-{q} vector, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("frequency vector contains non-finite entries")
+    path = [] if keep_path else None
+    t_star, z, m, fv, cost2, segments = _sweep(
+        q, tree.parent, tree.children, tree.bfs_order(), [0.0] + f.tolist(),
+        path=path, counters=counters)
     return ProjectionResult(
-        t_star=t_star, z_star=z_star, m_star=m, f_star=fv, cost=cost,
-        iterations=iterations, rate_recomputations=iterations, path=path,
+        t_star=t_star, z_star=np.array(z[1:]), m_star=np.array(m[1:]),
+        f_star=np.array(fv[1:]), cost=math.sqrt(cost2), iterations=segments,
+        rate_recomputations=segments, path=path,
     )
+
+
+# One sweep serves both names; the second is kept for existing callers.
+project_incremental = project
 
 
 def project_matrix(tree: RootedTree, fhat):

@@ -6,9 +6,11 @@ and rooted at node 1.  Workers scan disjoint contiguous index ranges and
 keep a local top-k; the reducer merges by (objective, code) so the output
 is identical for any worker count.
 
-The per-tree projection runs on a flat-array fast path equivalent to
-:func:`ppmproj.projection.project` (the equivalence is pinned by tests);
-at these sizes interpreter overhead, not asymptotics, is the bottleneck.
+Each tree is decoded straight to flat 1-indexed parent, children and BFS
+lists and every column is projected by :func:`ppmproj.projection._sweep`,
+the same sweep behind :func:`ppmproj.projection.project`, without building
+a :class:`RootedTree` or numpy arrays per tree; at these sizes interpreter
+overhead, not asymptotics, is the bottleneck.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .projection import _sweep
 from .tree import RootedTree, count_trees
 
 SEARCH_Q_LIMIT = 11
-
-_NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -202,135 +203,17 @@ def _decode_arrays(code, q):
     return parent, children, order
 
 
-def _sweep_column(q, parent, children, order, rev_order, f):
-    """Lean single-column sweep on 1-indexed lists.
-
-    Returns (cost^2, m, f_star) with m and f_star 1-indexed lists.  Same
-    segment-by-segment computation as the reference sweep: two-pass slope
-    elimination over the free forest, crossing-point scan, derivative exit.
-    """
-    n = [0.0] * (q + 1)
-    for v in order:
-        p = parent[v]
-        n[v] = f[v] + (n[p] if p else 0.0)
-    t = max(n[1:])
-    eps = 1e-9 * (abs(t) if abs(t) > 1.0 else 1.0)
-    fixed = [False] * (q + 1)
-    z = [0.0] * (q + 1)
-    for r in range(1, q + 1):
-        if n[r] >= t - eps:
-            fixed[r] = True
-            z[r] = t - n[r]
-    lp = 0.0
-    s_arr = [0.0] * (q + 1)
-    a_arr = [0.0] * (q + 1)
-    rate = [0.0] * (q + 1)
-    lpp = 0.0
-    guard = 0
-
-    while True:
-        guard += 1
-        if guard > q + 1:
-            raise AssertionError("sweep exceeded the segment bound")
-        for u in rev_order:
-            if fixed[u]:
-                continue
-            s = a = 0.0
-            for c in children[u]:
-                if fixed[c]:
-                    s += 1.0
-                    a += 1.0
-                else:
-                    sc = s_arr[c]
-                    if sc > 0.0:
-                        g = 1.0 / (1.0 + 1.0 / sc)
-                        s += g
-                        a += g * (a_arr[c] / sc)
-            s_arr[u] = s
-            a_arr[u] = a
-        lpp = 0.0
-        for u in order:
-            p = parent[u]
-            if fixed[u]:
-                r_u = 1.0
-            else:
-                if p == 0:
-                    pa = 0.0
-                elif fixed[p]:
-                    pa = 1.0
-                else:
-                    pa = rate[p]
-                r_u = (pa + a_arr[u]) / (1.0 + s_arr[u])
-            rate[u] = r_u
-            d = r_u - (rate[p] if p else 0.0)
-            lpp += d * d
-
-        best = _NEG_INF
-        plist = None
-        for r in range(1, q + 1):
-            if fixed[r]:
-                continue
-            c = rate[r]
-            if c >= 1.0 - 1e-12:
-                continue
-            pr = (n[r] + z[r] - t * c) / (1.0 - c)
-            if pr >= t:
-                continue
-            if plist is None:
-                plist = [_NEG_INF] * (q + 1)
-            plist[r] = pr
-            if pr > best:
-                best = pr
-        if plist is None:
-            break
-        lp_next = lp + (best - t) * lpp
-        if lp_next < -1.0:
-            break
-        dt = best - t
-        eps = 1e-9 * (abs(best) if abs(best) > 1.0 else 1.0)
-        thresh = best - eps
-        for r in range(1, q + 1):
-            if fixed[r]:
-                z[r] = best - n[r]
-            elif plist[r] >= thresh:
-                fixed[r] = True
-                z[r] = best - n[r]
-            else:
-                z[r] += dt * rate[r]
-        t = best
-        lp = lp_next
-
-    t_star = t - (1.0 + lp) / lpp
-    m = [0.0] * (q + 1)
-    fstar = [0.0] * (q + 1)
-    cost2 = 0.0
-    zp = 0.0
-    for i in range(1, q + 1):
-        zi = z[i] + (t_star - t) * rate[i]
-        p = parent[i]
-        zp = z[p] + (t_star - t) * rate[p] if p else 0.0
-        fi = -zi + zp
-        fstar[i] = fi
-        m[i] += fi
-        if p:
-            m[p] -= fi
-        d = f[i] - fi
-        cost2 += d * d
-    return cost2, m, fstar
-
-
 def _evaluate_tree(code, q, fcols, jfn, penalty_kind, penalty_weight, penalty_fn):
     """(objective, cost, m_cols, f_cols) for one Prüfer code."""
     if q == 1:
         parent, children, order = [0, 0], [None, []], [1]
     else:
         parent, children, order = _decode_arrays(code, q)
-    rev_order = order[::-1]
     cost2 = 0.0
     m_cols = []
     f_cols = []
     for f in fcols:
-        c2, m, fstar = _sweep_column(q, parent, children, order, rev_order, f)
+        _, _, m, fstar, c2, _ = _sweep(q, parent, children, order, f)
         cost2 += c2
         m_cols.append(m[1:])
         f_cols.append(fstar[1:])

@@ -149,6 +149,30 @@ class TestTreeOps:
         exact = float(np.linalg.eigvalsh(u.T @ u).max())
         assert TreeOps(tree).gram_lmax() == pytest.approx(exact, rel=1e-3)
 
+    def test_power_iterations_match_reference_loop(self):
+        from ppmproj.baselines import _dual_lmax
+
+        def reference(apply, q, iters=60, seed=0):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(q)
+            x /= np.linalg.norm(x)
+            lam = 1.0
+            for _ in range(iters):
+                y = apply(x)
+                lam = float(np.linalg.norm(y))
+                if lam == 0.0:
+                    return 1.0
+                x = y / lam
+            return lam
+
+        rng = np.random.default_rng(6)
+        for q in (1, 2, 25, 200):
+            ops = TreeOps(random_labeled_tree(q, rng))
+            gram = reference(lambda x: ops.ancestor_cumsum(ops.subtree_sum(x)), q)
+            dual = reference(lambda x: ops.subtract_children(ops.diff_parent(x)), q)
+            assert ops.gram_lmax() == gram
+            assert _dual_lmax(ops) == dual
+
 
 CHAIN_CFG = SolverConfig(rho=1.0, alpha=1.0, max_iters=8000, tol=1e-9)
 

@@ -79,10 +79,10 @@ class TestProjectCommand:
         from ppmproj.projection import DegeneracyError
         import ppmproj.cli as cli
 
-        def boom(tree, col):
+        def boom(tree, fhat):
             raise DegeneracyError("forced")
 
-        monkeypatch.setattr(cli, "project_incremental", boom)
+        monkeypatch.setattr(cli, "project_matrix", boom)
         tree, matrix = chain_files
         assert main(["project", str(tree), str(matrix)]) == 3
 
@@ -143,6 +143,30 @@ class TestGenCommand:
                          "--out-tree", str(t), "--out-matrix", str(m)]) == 0
             files.append((t.read_bytes(), m.read_bytes()))
         assert files[0] == files[1]
+
+    def test_draws_pinned_for_a_seed(self, tmp_path):
+        # The tree, then either one flat-Dirichlet draw of M (with F = U M)
+        # or one standard normal draw of F, all from one generator seeded
+        # with --seed: a given seed always writes the same bytes.
+        from ppmproj import ancestry_matrix
+        from ppmproj.generate import GaltonWatsonSpec, galton_watson_tree
+        for feasible in (False, True):
+            t, m = tmp_path / "t.tree", tmp_path / "m.csv"
+            args = ["gen", "--q", "12", "--p", "3", "--seed", "11",
+                    "--out-tree", str(t), "--out-matrix", str(m)]
+            assert main(args + (["--feasible"] if feasible else [])) == 0
+            rng = np.random.default_rng(11)
+            tree = galton_watson_tree(GaltonWatsonSpec(q=12, seed=11), rng=rng)
+            if feasible:
+                fhat = (ancestry_matrix(tree).astype(float)
+                        @ rng.dirichlet(np.ones(12), size=3).T)
+            else:
+                fhat = rng.standard_normal((12, 3))
+            want_t, want_m = tmp_path / "want.tree", tmp_path / "want.csv"
+            pio.save_tree(tree, want_t)
+            pio.save_matrix(fhat, want_m)
+            assert t.read_bytes() == want_t.read_bytes()
+            assert m.read_bytes() == want_m.read_bytes()
 
     def test_feasible_projects_to_zero_cost(self, tmp_path):
         t, m = tmp_path / "t.tree", tmp_path / "m.csv"

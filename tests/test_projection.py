@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from ppmproj import (
-    PathState,
     RootedTree,
     ancestor_sums,
     ancestry_matrix,
     decode_prufer,
-    next_critical,
     oracle_dual_at_t,
     oracle_project,
     project,
@@ -98,15 +96,17 @@ class TestProjectMatrix:
 
 
 class TestNextCritical:
+    """The next critical value: the largest crossing point below t of a free
+    node's path line with its constraint line."""
+
     def test_chain_first_segment(self):
-        tree = chain(2)
-        n = ancestor_sums(tree, [0.5, 0.7])
-        state = PathState(index=1, t=1.2, boundary=frozenset({2}),
-                          z=np.zeros(2), z_rate=np.array([0.5, 1.0]),
-                          lprime=0.0, lsecond=0.5)
-        t_next, newly = next_critical(state, n)
-        assert t_next == pytest.approx(-0.2, abs=1e-12)
-        assert newly == frozenset({1})
+        # From t = 1.2 node 1 moves at slope 0.5 from z = 0 and meets its
+        # constraint line t - 0.5 at t = (0.5 + 0 - 1.2 * 0.5) / 0.5 = -0.2.
+        res = project(chain(2), [0.5, 0.7], keep_path=True)
+        first, second = res.path
+        assert first.z == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert second.t == pytest.approx(-0.2, abs=1e-12)
+        assert second.boundary - first.boundary == frozenset({1})
 
     def test_symmetric_star_fixes_together(self):
         tree = RootedTree.from_parent_array([0, 1, 1])
@@ -119,13 +119,14 @@ class TestNextCritical:
             pytest.fail("children never entered the boundary")
 
     def test_all_unit_rates_no_candidate(self):
-        tree = chain(2)
-        n = ancestor_sums(tree, [0.5, 0.7])
-        state = PathState(index=2, t=-0.2, boundary=frozenset({2}),
-                          z=np.array([0.0, -1.4]), z_rate=np.array([1.0, 1.0]),
-                          lprime=-0.7, lsecond=1.0)
-        t_next, newly = next_critical(state, n)
-        assert t_next is None and newly == frozenset()
+        # Once every node is on the boundary all slopes are 1, no line
+        # crosses, and the sweep ends on the derivative test.
+        res = project(chain(2), [0.5, 0.7], keep_path=True)
+        last = res.path[-1]
+        assert last.boundary == frozenset({1, 2})
+        assert np.all(last.z_rate == 1.0)
+        assert last.lprime + (res.t_star - last.t) * last.lsecond == \
+            pytest.approx(-1.0, abs=1e-12)
 
 
 class TestRecoverSolution:

@@ -1,102 +1,123 @@
-"""Tests for the subtree slope machinery: star solve, reduction, pruning."""
+"""Tests for the segment slopes: ``compute_rates`` and the two-pass slope
+pass behind it, checked against closed forms and a dense Laplacian solve."""
 
 import numpy as np
 import pytest
 
-from ppmproj import (
-    RootedTree,
-    SubtreeInvariantError,
-    SubtreeProblem,
-    build_subtree_problem,
-    compute_rates,
-    compute_rates_rec,
-    decode_prufer,
-    prune_free_leaves,
-    reduce_node,
-    star_solve,
-)
+from ppmproj import RootedTree, compute_rates, decode_prufer
+from ppmproj.projection import _slope_pass
 
 
 def chain(q):
     return RootedTree.from_parent_array([0] + list(range(1, q)))
 
 
+def random_tree(rng, q):
+    return decode_prufer(rng.integers(1, q + 1, size=max(q - 2, 0)), q)
+
+
+def random_boundary(rng, q):
+    k = int(rng.integers(1, q + 1))
+    return set(int(x) + 1 for x in rng.choice(q, size=k, replace=False))
+
+
+def dense_rates(tree, boundary):
+    """Slopes by a dense solve of the free nodes' stationarity system.
+
+    Node slopes minimize the sum over edges of squared slope differences,
+    the root's edge running to a zero anchor, with boundary nodes held at
+    slope 1: the free-node block of the weighted graph Laplacian against
+    the pull of the boundary neighbours.
+    """
+    q = tree.q
+    free = [v for v in range(1, q + 1) if v not in boundary]
+    index = {v: i for i, v in enumerate(free)}
+    lap = np.zeros((len(free), len(free)))
+    rhs = np.zeros(len(free))
+    for v in free:
+        i = index[v]
+        neighbours = list(tree.children[v])
+        if tree.parent[v]:
+            neighbours.append(tree.parent[v])
+        lap[i, i] = len(tree.children[v]) + 1.0
+        for w in neighbours:
+            if w in boundary:
+                rhs[i] += 1.0
+            else:
+                lap[i, index[w]] -= 1.0
+    rates = np.ones(q)
+    if free:
+        rates[[v - 1 for v in free]] = np.linalg.solve(lap, rhs)
+    return rates
+
+
+def curvature(tree, rates):
+    return sum((rates[v - 1] - (rates[tree.parent[v] - 1] if tree.parent[v] else 0.0)) ** 2
+               for v in range(1, tree.q + 1))
+
+
+def slope_state(tree, fixed_nodes):
+    """One slope pass: (rate, s_arr, a_arr, lsecond), the lists 1-indexed."""
+    q = tree.q
+    fixed = [False] * (q + 1)
+    rate = [0.0] * (q + 1)
+    for v in fixed_nodes:
+        fixed[v] = True
+        rate[v] = 1.0
+    s_arr = [0.0] * (q + 1)
+    a_arr = [0.0] * (q + 1)
+    order = tree.bfs_order()
+    free_desc = [u for u in reversed(order) if not fixed[u]]
+    lsecond = _slope_pass(free_desc, order, tree.parent, tree.children, fixed,
+                          rate, s_arr, a_arr)
+    return rate, s_arr, a_arr, lsecond
+
+
 class TestStarSolve:
+    """The star step: a free node's slope averages its parent's and its
+    reduced children's."""
+
     def test_equal_alphas_pass_through(self):
-        slope, intercept = star_solve(
-            gammas=(2.0, None, 1.0, 3.0),
-            alphas=(None, 0.7, 0.7, 0.7),
-            betas=(None, 1.0, 2.0, 3.0),
-        )
-        assert slope == pytest.approx(0.7, abs=1e-15)
+        # A free node whose parent and children all move at slope 1 takes
+        # slope 1 itself.
+        t = RootedTree.from_parent_array([0, 1, 2, 2, 2])
+        rates, _ = compute_rates(t, {1, 3, 4, 5})
+        assert rates[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_chain_trace_values(self):
-        # Center weight 1 toward a parent on the zero line, one unit-weight
-        # leaf on t - 1.2.
-        slope, intercept = star_solve(
-            gammas=(1.0, None, 1.0),
-            alphas=(None, 0.0, 1.0),
-            betas=(None, 0.0, -1.2),
-        )
-        assert slope == pytest.approx(0.5, abs=1e-15)
+        # The hand trace's first segment: the root hangs from the zero
+        # anchor with one unit-weight child on t - 1.2, so it moves on the
+        # line 0.5 t - 0.6.
+        from ppmproj import project
+        rates, _ = compute_rates(chain(2), {2})
+        assert rates[0] == pytest.approx(0.5, abs=1e-15)
+        first = project(chain(2), [0.5, 0.7], keep_path=True).path[0]
+        assert first.z_rate[0] == pytest.approx(0.5, abs=1e-15)
+        intercept = first.z[0] - first.t * first.z_rate[0]
         assert intercept == pytest.approx(-0.6, abs=1e-15)
-
-    def test_weight_scale_invariance(self):
-        g = (1.5, None, 0.5, 2.5)
-        a = (None, 0.2, 0.9, 0.1)
-        b = (None, -1.0, 0.4, 2.0)
-        base = star_solve(g, a, b)
-        for c in (0.5, 3.0, 100.0):
-            scaled = star_solve(tuple(x * c if x is not None else None for x in g), a, b)
-            assert scaled[0] == pytest.approx(base[0], rel=1e-14)
-            assert scaled[1] == pytest.approx(base[1], rel=1e-14)
-
-
-def two_free_problem():
-    """Root(fixed) -> a(free) -> b(free) -> leaf(fixed), unit weights."""
-    parent = {10: 0, 11: 10, 12: 11, 13: 12}
-    children = {10: [11], 11: [12], 12: [13], 13: []}
-    fixed = {10, 13}
-    alpha = {10: 0.0, 13: 1.0}
-    beta = {10: 0.0, 13: 0.0}
-    gamma = {10: 1.0, 11: 1.0, 12: 1.0, 13: 1.0}
-    return SubtreeProblem(10, parent, children, fixed, alpha, beta, gamma)
 
 
 class TestReduceNode:
+    """The reduction step: fixed and reduced children collapse into one line
+    with a harmonic weight."""
+
     def test_single_child_line_passes_up(self):
-        # free j under a free parent, one fixed child on (1, -N).
-        n_val = 0.8
-        parent = {1: 0, 2: 1, 3: 2}
-        children = {1: [2], 2: [3], 3: []}
-        problem = SubtreeProblem(
-            1, parent, children, {3}, {3: 1.0}, {3: -n_val},
-            {1: 1.0, 2: 1.0, 3: 1.0}, root_anchored=True)
-        reduce_node(problem, 2)
-        assert problem.alpha[2] == pytest.approx(1.0, abs=1e-15)
-        assert problem.beta[2] == pytest.approx(-n_val, abs=1e-15)
-        assert problem.gamma[2] == pytest.approx(0.5, abs=1e-15)
-        assert 2 in problem.fixed and problem.children[2] == []
+        # A free node with one fixed child reduces to that child's line
+        # (slope 1) at weight 1, which reaches its free parent at the
+        # harmonic weight 1 / (1 + 1/1) = 1/2.
+        tree = chain(3)
+        rate, s_arr, a_arr, _ = slope_state(tree, {3})
+        assert s_arr[2] == 1.0 and a_arr[2] == 1.0
+        assert s_arr[1] == pytest.approx(0.5, abs=1e-15)
+        assert a_arr[1] / s_arr[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_identical_children_average_to_same_line(self):
+        # r fixed children on the same line reduce to that line at weight r.
         for r in (2, 3, 5):
-            kids = list(range(3, 3 + r))
-            parent = {1: 0, 2: 1}
-            children = {1: [2], 2: kids}
-            for c in kids:
-                parent[c] = 2
-                children[c] = []
-            gamma = {1: 1.0, 2: 1.0}
-            alpha, beta = {}, {}
-            for c in kids:
-                gamma[c] = 1.0 + 0.1 * c
-                alpha[c] = 0.4
-                beta[c] = -0.25
-            problem = SubtreeProblem(1, parent, children, set(kids),
-                                     alpha, beta, gamma, root_anchored=True)
-            reduce_node(problem, 2)
-            assert problem.alpha[2] == pytest.approx(0.4, rel=1e-14)
-            assert problem.beta[2] == pytest.approx(-0.25, rel=1e-14)
+            tree = RootedTree.from_parent_array([0, 1] + [2] * r)
+            _, s_arr, a_arr, _ = slope_state(tree, set(range(3, 3 + r)))
+            assert s_arr[2] == r
+            assert a_arr[2] / s_arr[2] == pytest.approx(1.0, rel=1e-14)
 
     def test_harmonic_weight_below_both_inputs(self):
         rng = np.random.default_rng(0)
@@ -106,131 +127,90 @@ class TestReduceNode:
             combined = 1.0 / (1.0 / gj + 1.0 / gs.sum())
             assert combined < min(gj, gs.sum())
 
-    def test_precondition_violations_raise(self):
-        problem = two_free_problem()
-        with pytest.raises(SubtreeInvariantError):
-            reduce_node(problem, 10)  # already fixed
-        with pytest.raises(SubtreeInvariantError):
-            reduce_node(problem, 11)  # children not all fixed
-
 
 class TestPruneFreeLeaves:
+    """The pruning step: free subtrees without boundary nodes get weight 0
+    and copy their parent's slope."""
+
     def test_free_chain_hanging_off_root_is_pruned(self):
         # Root 1 carries a free chain 2-3-4 plus a fixed child 5: the chain
-        # contributes nothing and every pruned node later takes 1's rate.
+        # contributes nothing and every node of it takes 1's rate.
         tree = RootedTree.from_parent_array([0, 1, 2, 3, 1])
-        fixed_flags = [False, False, False, False, False, True]
-        problem = build_subtree_problem(tree, fixed_flags, seed=2)
-        prune_free_leaves(problem)
-        assert [u for u, _ in problem.pruned] == [4, 3, 2]
-        assert set(problem.children) == {1, 5}
+        _, s_arr, _, _ = slope_state(tree, {5})
+        assert s_arr[2] == s_arr[3] == s_arr[4] == 0.0
         rates, _ = compute_rates(tree, {5})
         assert rates[0] == pytest.approx(0.5, abs=1e-15)
         assert np.allclose(rates[1:4], rates[0], atol=0)
 
     def test_no_free_leaves_is_identity(self):
-        problem = two_free_problem()
-        before = problem.snapshot()
-        prune_free_leaves(problem)
-        assert problem.snapshot() == before
-        assert problem.pruned == []
+        # A free node is pruned (weight 0) exactly when no boundary node
+        # lies below it; with every leaf on the boundary, none is.
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            q = int(rng.integers(2, 14))
+            tree = random_tree(rng, q)
+            boundary = random_boundary(rng, q)
+            _, s_arr, _, _ = slope_state(tree, boundary)
+            for v in range(1, q + 1):
+                if v in boundary:
+                    continue
+                below = [w for w in range(1, q + 1)
+                         if w != v and tree.is_ancestor(v, w)]
+                assert (s_arr[v] > 0.0) == any(w in boundary for w in below)
+            leaves = {v for v in range(1, q + 1) if not tree.children[v]}
+            _, s_arr, _, _ = slope_state(tree, leaves)
+            assert all(s_arr[v] > 0.0 for v in range(1, q + 1) if v not in leaves)
 
     def test_all_free_tree_prunes_to_root_with_zero_rate(self):
         tree = decode_prufer((2, 3, 1), 5)
-        problem = build_subtree_problem(tree, [False] * 6, seed=1)
-        prune_free_leaves(problem)
-        assert set(problem.children) == {1}
-        out = {}
-        compute_rates_rec(problem, out)
-        assert out[1] == 0.0
-        rate = {1: out[1]}
-        for u, p in reversed(problem.pruned):
-            rate[u] = rate[p]
-        assert all(r == 0.0 for r in rate.values())
+        rate, s_arr, _, lsecond = slope_state(tree, set())
+        assert all(s == 0.0 for s in s_arr)
+        assert all(r == 0.0 for r in rate)
+        assert lsecond == 0.0
 
 
 class TestComputeRatesRec:
+    """Slopes of whole free components against closed forms."""
+
     def test_single_free_node_star(self):
-        # root fixed on slope 0, r children fixed on slope 1, unit weights.
+        # The free root hangs from the zero anchor with r children fixed on
+        # slope 1, unit weights.
         for r in (1, 2, 4):
-            kids = list(range(3, 3 + r))
-            parent = {1: 0, 2: 1}
-            children = {1: [2], 2: kids}
-            alpha = {1: 0.0}
-            beta = {1: 0.0}
-            gamma = {1: 1.0, 2: 1.0}
-            fixed = {1}
-            for c in kids:
-                parent[c] = 2
-                children[c] = []
-                fixed.add(c)
-                alpha[c] = 1.0
-                beta[c] = 0.0
-                gamma[c] = 1.0
-            problem = SubtreeProblem(1, parent, children, fixed, alpha, beta, gamma)
-            out = {}
-            compute_rates_rec(problem, out, debug=True)
-            assert out[2] == pytest.approx(r / (r + 1.0), abs=1e-15)
+            tree = RootedTree.from_parent_array([0] + [1] * r)
+            rates, _ = compute_rates(tree, set(range(2, 2 + r)))
+            assert rates[0] == pytest.approx(r / (r + 1.0), abs=1e-15)
 
     def test_two_free_chain_against_direct_solve(self):
         # Oracle first: the stationarity system for the two free values
-        #   2 a = alpha_root + b,  2 b = a + alpha_leaf
+        #   2 a = 0 + b,  2 b = a + 1
         # solved directly as a 2x2 linear system.
-        a_root, a_leaf = 0.0, 1.0
         sys_m = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        rhs = np.array([a_root, a_leaf])
+        rhs = np.array([0.0, 1.0])
         direct = np.linalg.solve(sys_m, rhs)
         assert direct == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
 
-        problem = two_free_problem()
-        out = {}
-        compute_rates_rec(problem, out, debug=True)
-        assert out[11] == pytest.approx(direct[0], abs=1e-14)
-        assert out[12] == pytest.approx(direct[1], abs=1e-14)
+        rates, _ = compute_rates(chain(3), {3})
+        assert rates[0] == pytest.approx(direct[0], abs=1e-14)
+        assert rates[1] == pytest.approx(direct[1], abs=1e-14)
 
     def test_constant_alpha_gives_constant_rates(self):
+        # Away from the zero anchor every neighbour line has slope 1, so a
+        # free component below a boundary node moves at slope 1 throughout.
         rng = np.random.default_rng(4)
-        for _ in range(20):
+        checked = 0
+        for _ in range(40):
             q = int(rng.integers(3, 10))
-            tree = decode_prufer(rng.integers(1, q + 1, size=q - 2), q)
-            boundary = {int(rng.integers(1, q + 1))}
-            flags = [False] * (q + 1)
-            for b in boundary:
-                flags[b] = True
-            free_seed = next(v for v in range(1, q + 1) if not flags[v])
-            problem = build_subtree_problem(tree, flags, free_seed)
-            a = float(rng.uniform(-2, 2))
-            for j in problem.fixed:
-                problem.alpha[j] = a
-            if problem.root_anchored:
-                continue  # the zero anchor pins a different constant
-            prune_free_leaves(problem)
-            out = {}
-            if any(j not in problem.fixed for j in problem.children):
-                compute_rates_rec(problem, out, debug=True)
-            for rate in out.values():
-                assert rate == pytest.approx(a, abs=1e-12)
-
-    def test_mutate_restore_verified_on_random_problems(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            q = int(rng.integers(4, 14))
-            tree = decode_prufer(rng.integers(1, q + 1, size=q - 2), q)
-            k = int(rng.integers(1, q))
-            boundary = set(int(x) + 1 for x in rng.choice(q, size=k, replace=False))
-            flags = [False] * (q + 1)
-            for b in boundary:
-                flags[b] = True
-            free = [v for v in range(1, q + 1) if not flags[v]]
-            if not free:
-                continue
-            problem = build_subtree_problem(tree, flags, free[0])
-            prune_free_leaves(problem)
-            before = problem.snapshot()
-            out = {}
-            if any(j not in problem.fixed for j in problem.children):
-                compute_rates_rec(problem, out, debug=True)
-            assert problem.snapshot() == before
+            tree = random_tree(rng, q)
+            boundary = random_boundary(rng, q)
+            rates, _ = compute_rates(tree, boundary)
+            for v in range(1, q + 1):
+                top = v
+                while tree.parent[top] and tree.parent[top] not in boundary:
+                    top = tree.parent[top]
+                if v not in boundary and tree.parent[top]:
+                    assert rates[v - 1] == pytest.approx(1.0, abs=1e-12)
+                    checked += 1
+        assert checked > 20
 
 
 class TestComputeRates:
@@ -254,28 +234,42 @@ class TestComputeRates:
     def test_empty_boundary_rejected(self):
         with pytest.raises(ValueError):
             compute_rates(chain(3), set())
+        for label in (0, 4):
+            with pytest.raises(ValueError, match="1..3"):
+                compute_rates(chain(3), {2, label})
 
     def test_rates_within_unit_interval(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             q = int(rng.integers(2, 15))
-            code = rng.integers(1, q + 1, size=max(q - 2, 0))
-            t = decode_prufer(code, q) if q >= 3 else decode_prufer((), q)
-            k = int(rng.integers(1, q + 1))
-            boundary = set(int(x) + 1 for x in rng.choice(q, size=k, replace=False))
+            t = random_tree(rng, q)
+            boundary = random_boundary(rng, q)
             rates, lsecond = compute_rates(t, boundary)
             assert np.all(rates >= -1e-15)
             assert np.all(rates <= 1.0 + 1e-15)
+            assert lsecond > 0
+
+    def test_matches_dense_laplacian_solve(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            q = int(rng.integers(2, 40))
+            t = random_tree(rng, q)
+            boundary = random_boundary(rng, q)
+            rates, lsecond = compute_rates(t, boundary)
+            assert rates == pytest.approx(dense_rates(t, boundary), abs=1e-12)
+            assert lsecond == pytest.approx(curvature(t, rates), rel=1e-12)
             assert lsecond > 0
 
     def test_edges_touched_linear_per_call(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             q = int(rng.integers(5, 60))
-            t = decode_prufer(rng.integers(1, q + 1, size=q - 2), q)
-            k = int(rng.integers(1, q + 1))
-            boundary = set(int(x) + 1 for x in rng.choice(q, size=k, replace=False))
+            t = random_tree(rng, q)
+            boundary = random_boundary(rng, q)
             counters = {}
             compute_rates(t, boundary, counters=counters)
             assert counters.get("edges_touched", 0) <= 6 * q
             assert counters.get("nodes_visited", 0) <= 2 * q
+            free = q - len(boundary)
+            assert counters["star_ops"] == counters["nodes_visited"] == free
+            assert counters["components"] + counters["reduce_ops"] == free
