@@ -329,9 +329,10 @@ def admm_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     return z, t, m, trace
 
 
-def default_pgd_step(tree: RootedTree) -> float:
-    """Conservative gradient step: 0.99 over the largest Gram eigenvalue."""
-    return 0.99 / TreeOps(tree).gram_lmax()
+def default_step(ops: TreeOps, dual: bool = False) -> float:
+    """Conservative gradient step: 0.99 over the largest eigenvalue of the
+    primal Gram operator, or of the dual quadratic's operator if ``dual``."""
+    return 0.99 / (_dual_lmax(ops) if dual else ops.gram_lmax())
 
 
 def pgd_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
@@ -344,7 +345,7 @@ def pgd_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     f = np.asarray(fhat_col, dtype=float).reshape(-1)
     ops = TreeOps(tree)
     if cfg is None:
-        cfg = SolverConfig(alpha=0.99 / ops.gram_lmax())
+        cfg = SolverConfig(alpha=default_step(ops))
     alpha = cfg.alpha
     m = simplex_project(np.zeros(tree.q))
     trace = ConvergenceTrace()
@@ -377,8 +378,7 @@ def pgd_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     if cfg is None:
         # The dual quadratic's curvature is bounded by the Gram spectrum of
         # the inverse ancestry factor; estimate it the same way.
-        lam = _dual_lmax(ops)
-        cfg = SolverConfig(alpha=0.99 / lam)
+        cfg = SolverConfig(alpha=default_step(ops, dual=True))
     alpha = cfg.alpha
     z = np.zeros(tree.q)
     t = float(np.max(n))

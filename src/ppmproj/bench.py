@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SOLVERS, SolverConfig, TreeOps, _dual_lmax, autotune
+from .baselines import SOLVERS, SolverConfig, TreeOps, autotune, default_step
 from .generate import GaltonWatsonSpec, galton_watson_tree
 from .projection import project
 
@@ -60,10 +60,7 @@ def default_grid(solver_id, tree, tol, max_iters):
     if solver_id.startswith("admm"):
         return [SolverConfig(rho=r, alpha=1.0, max_iters=max_iters, tol=tol)
                 for r in (0.3, 1.0, 3.0)]
-    if solver_id == "pgd-dual":
-        base = 0.99 / _dual_lmax(TreeOps(tree))
-    else:
-        base = 0.99 / TreeOps(tree).gram_lmax()
+    base = default_step(TreeOps(tree), dual=solver_id == "pgd-dual")
     return [SolverConfig(rho=1.0, alpha=s * base, max_iters=max_iters, tol=tol)
             for s in (1.0, 0.5)]
 

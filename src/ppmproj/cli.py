@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error, 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -129,15 +130,11 @@ def _cmd_search(args):
 def _cmd_bench(args):
     sizes = [int(x) for x in args.sizes.split(",") if x]
     solvers = [x.strip() for x in args.solvers.split(",") if x.strip()]
-    if args.out:
-        with open(args.out, "w") as fh:
-            rows, summary = run_bench(sizes, solvers, args.trials, args.seed,
-                                      cmin=args.cmin, cmax=args.cmax,
-                                      tol=args.tol, out=fh)
-    else:
-        rows, summary = run_bench(sizes, solvers, args.trials, args.seed,
-                                  cmin=args.cmin, cmax=args.cmax,
-                                  tol=args.tol, out=sys.stdout)
+    out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        _, summary = run_bench(sizes, solvers, args.trials, args.seed,
+                               cmin=args.cmin, cmax=args.cmax, tol=args.tol,
+                               out=fh)
     for (size, solver_id), mean_time in sorted(summary.items()):
         print(f"# mean size={size} solver={solver_id} "
               f"time_sec={mean_time:.6g}", file=sys.stderr)

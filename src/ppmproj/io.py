@@ -7,6 +7,7 @@ lossless for doubles.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -43,16 +44,14 @@ def load_tree(path) -> RootedTree:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = line.split()
             parents = []
-            col = 1
-            for tok in fields:
+            for match in re.finditer(r"\S+", raw):
+                tok = match.group()
                 try:
                     parents.append(int(tok))
                 except ValueError:
                     raise ParseError(f"expected an integer, got {tok!r}",
-                                     path, lineno, col) from None
-                col += len(tok) + 1
+                                     path, lineno, match.start() + 1) from None
             try:
                 return RootedTree.from_parent_array(parents)
             except TreeInputError as exc:
@@ -79,14 +78,17 @@ def load_matrix(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             values = []
-            col = 1
-            for tok in line.split(","):
+            start = 0
+            for tok in raw.rstrip("\n").split(","):
                 try:
                     values.append(float(tok))
                 except ValueError:
+                    # Point at the token's first non-blank character, or at
+                    # the field itself when it is blank.
+                    lead = len(tok) - len(tok.lstrip()) if tok.strip() else 0
                     raise ParseError(f"expected a number, got {tok.strip()!r}",
-                                     path, lineno, col) from None
-                col += len(tok) + 1
+                                     path, lineno, start + lead + 1) from None
+                start += len(tok) + 1
             if width is None:
                 width = len(values)
             elif len(values) != width:

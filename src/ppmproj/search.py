@@ -6,11 +6,11 @@ and rooted at node 1.  Workers scan disjoint contiguous index ranges and
 keep a local top-k; the reducer merges by (objective, code) so the output
 is identical for any worker count.
 
-Each tree is decoded straight to flat 1-indexed parent, children and BFS
-lists and every column is projected by :func:`ppmproj.projection._sweep`,
-the same sweep behind :func:`ppmproj.projection.project`, without building
-a :class:`RootedTree` or numpy arrays per tree; at these sizes interpreter
-overhead, not asymptotics, is the bottleneck.
+Each tree is decoded by :func:`ppmproj.tree.decode_prufer_arrays` (the
+decoder behind ``decode_prufer``) to flat 1-indexed lists, projected column
+by column by ``projection._sweep`` (the sweep behind ``project``) and scored
+by the penalty :func:`objective` uses; no :class:`RootedTree` or numpy array
+is built per tree, since at these sizes interpreter overhead is the cost.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projection import _sweep
-from .tree import RootedTree, count_trees
+from .tree import RootedTree, count_trees, decode_prufer_arrays
 
 SEARCH_Q_LIMIT = 11
 
@@ -59,17 +59,20 @@ def resolve_scaling(spec):
 
 
 def resolve_penalty(spec):
-    """Penalty as (kind, weight, fn): 'zero', 'leaves', or 'custom'."""
+    """Penalty as a callable ``penalty(parent, children) -> float`` on the
+    flat 1-indexed lists of :func:`ppmproj.tree.decode_prufer_arrays`."""
     if callable(spec):
-        return ("custom", 0.0, spec)
+        return lambda parent, children: spec(RootedTree.from_parent_array(parent[1:]))
     if spec == "zero" or spec is None:
-        return ("zero", 0.0, None)
+        return lambda parent, children: 0.0
     if isinstance(spec, tuple) and spec[0] == "leaves":
-        return ("leaves", float(spec[1]), None)
-    if isinstance(spec, str) and spec.startswith("leaves:"):
-        return ("leaves", float(spec.split(":", 1)[1]), None)
-    raise ValueError(
-        f"unknown penalty {spec!r}; use 'zero', 'leaves:<weight>' or a callable")
+        weight = float(spec[1])
+    elif isinstance(spec, str) and spec.startswith("leaves:"):
+        weight = float(spec.split(":", 1)[1])
+    else:
+        raise ValueError(
+            f"unknown penalty {spec!r}; use 'zero', 'leaves:<weight>' or a callable")
+    return lambda parent, children: weight * sum(1 for c in children[1:] if not c)
 
 
 @dataclass
@@ -89,6 +92,11 @@ class SearchSpec:
 
     def __post_init__(self):
         self.fhat = np.asarray(self.fhat, dtype=float)
+        if self.fhat.ndim not in (1, 2):
+            raise ValueError(
+                f"frequency matrix must be 1-D or 2-D, got {self.fhat.ndim}-D")
+        if not np.all(np.isfinite(self.fhat)):
+            raise ValueError("frequency matrix contains non-finite entries")
         if self.fhat.ndim == 1:
             self.fhat = self.fhat[:, None]
         if self.k < 1:
@@ -119,15 +127,8 @@ class SearchReport:
 
 def objective(cost: float, tree: RootedTree, spec: SearchSpec) -> float:
     """Scalar search objective: scaled projection cost plus topology penalty."""
-    jfn = resolve_scaling(spec.scaling)
-    kind, weight, qfn = resolve_penalty(spec.penalty)
-    if kind == "zero":
-        pen = 0.0
-    elif kind == "leaves":
-        pen = weight * tree.leaf_count()
-    else:
-        pen = qfn(tree)
-    return jfn(cost) + pen
+    penalty = resolve_penalty(spec.penalty)
+    return resolve_scaling(spec.scaling)(cost) + penalty(tree.parent, tree.children)
 
 
 def index_to_code(index: int, q: int) -> tuple:
@@ -158,57 +159,9 @@ def partition_ranges(total: int, parts: int):
 # ---------------------------------------------------------------------------
 # Flat-array per-tree evaluation (hot path)
 
-def _decode_arrays(code, q):
-    """Prüfer decode straight to (parent, children, bfs order), 1-indexed."""
-    degree = [1] * (q + 1)
-    for c in code:
-        degree[c] += 1
-    adjacency = [[] for _ in range(q + 1)]
-    ptr = 1
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for c in code:
-        adjacency[leaf].append(c)
-        adjacency[c].append(leaf)
-        degree[c] -= 1
-        if degree[c] == 1 and c < ptr:
-            leaf = c
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    adjacency[leaf].append(q)
-    adjacency[q].append(leaf)
-
-    parent = [0] * (q + 1)
-    children = [None] * (q + 1)
-    order = [1]
-    head = 0
-    seen = [False] * (q + 1)
-    seen[1] = True
-    while head < len(order):
-        v = order[head]
-        head += 1
-        kids = []
-        for w in adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                kids.append(w)
-        kids.sort()
-        children[v] = kids
-        order.extend(kids)
-    return parent, children, order
-
-
-def _evaluate_tree(code, q, fcols, jfn, penalty_kind, penalty_weight, penalty_fn):
+def _evaluate_tree(code, q, fcols, jfn, penalty):
     """(objective, cost, m_cols, f_cols) for one Prüfer code."""
-    if q == 1:
-        parent, children, order = [0, 0], [None, []], [1]
-    else:
-        parent, children, order = _decode_arrays(code, q)
+    parent, children, order = decode_prufer_arrays(code, q)
     cost2 = 0.0
     m_cols = []
     f_cols = []
@@ -218,14 +171,7 @@ def _evaluate_tree(code, q, fcols, jfn, penalty_kind, penalty_weight, penalty_fn
         m_cols.append(m[1:])
         f_cols.append(fstar[1:])
     cost = math.sqrt(cost2)
-    if penalty_kind == "zero":
-        pen = 0.0
-    elif penalty_kind == "leaves":
-        leaves = sum(1 for i in range(1, q + 1) if not children[i])
-        pen = penalty_weight * leaves
-    else:
-        pen = penalty_fn(RootedTree.from_parent_array(parent[1:]))
-    return jfn(cost) + pen, cost, m_cols, f_cols
+    return jfn(cost) + penalty(parent, children), cost, m_cols, f_cols
 
 
 _WORKER_STATE = {}
@@ -248,13 +194,12 @@ def _scan_range(bounds):
     k = _WORKER_STATE["k"]
     fcols = _WORKER_STATE["fcols"]
     jfn = _WORKER_STATE["jfn"]
-    pkind, pweight, pfn = _WORKER_STATE["penalty"]
+    penalty = _WORKER_STATE["penalty"]
     top = []
     worst = None
     for index in range(start, stop):
-        code = index_to_code(index, q) if q >= 3 else ()
-        obj, cost, m_cols, f_cols = _evaluate_tree(
-            code, q, fcols, jfn, pkind, pweight, pfn)
+        code = index_to_code(index, q)
+        obj, cost, m_cols, f_cols = _evaluate_tree(code, q, fcols, jfn, penalty)
         key = (obj, code)
         if worst is not None and key >= worst and len(top) >= k:
             continue

@@ -140,31 +140,15 @@ def count_trees(q: int) -> int:
     return q ** (q - 2)
 
 
-def decode_prufer(code, q: int) -> RootedTree:
-    """Decode a Prüfer sequence into the labeled tree on {1..q} rooted at 1.
+def decode_prufer_arrays(code, q: int):
+    """Unchecked Prüfer decode to flat 1-indexed ``(parent, children, order)``,
+    laid out as :class:`RootedTree`'s fields and :meth:`RootedTree.bfs_order`.
 
-    ``code`` must have length q-2 with entries in 1..q (empty for q <= 2).
-    The classic decoding produces an unrooted labeled tree, which is then
-    oriented away from node 1.
+    A pointer-based decode yields the edges; a BFS from node 1 orients them.
     """
-    code = tuple(int(c) for c in code)
-    if q < 1:
-        raise TreeInputError(f"q must be >= 1, got {q}")
-    if q <= 2:
-        if code:
-            raise TreeInputError(f"q={q} admits no Prüfer code, got length {len(code)}")
-        return RootedTree.from_parent_array([0] if q == 1 else [0, 1])
-    if len(code) != q - 2:
-        raise TreeInputError(f"code length {len(code)} != q-2 = {q - 2}")
-    for c in code:
-        if not (1 <= c <= q):
-            raise TreeInputError(f"code entry {c} outside 1..{q}")
-
     degree = [1] * (q + 1)
     for c in code:
         degree[c] += 1
-
-    # Pointer-based decode: O(q) amortized scan for the smallest current leaf.
     adjacency = [[] for _ in range(q + 1)]
     ptr = 1
     while degree[ptr] != 1:
@@ -181,22 +165,52 @@ def decode_prufer(code, q: int) -> RootedTree:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
+    # The last edge joins the remaining leaf to q.  At q = 1 that leaf is q
+    # itself, and the BFS below skips the self-loop because node 1 is seen.
     adjacency[leaf].append(q)
     adjacency[q].append(leaf)
 
-    # Orient away from node 1.
-    parents = [0] * q
-    stack = [1]
+    parent = [0] * (q + 1)
+    children = [()] * (q + 1)
+    order = [1]
+    head = 0
     seen = [False] * (q + 1)
     seen[1] = True
-    while stack:
-        v = stack.pop()
+    while head < len(order):
+        v = order[head]
+        head += 1
+        kids = []
         for w in adjacency[v]:
             if not seen[w]:
                 seen[w] = True
-                parents[w - 1] = v
-                stack.append(w)
-    return RootedTree.from_parent_array(parents)
+                parent[w] = v
+                kids.append(w)
+        kids.sort()
+        children[v] = kids
+        order.extend(kids)
+    return parent, children, order
+
+
+def decode_prufer(code, q: int) -> RootedTree:
+    """Decode a Prüfer sequence into the labeled tree on {1..q} rooted at 1.
+
+    ``code`` must have length q-2 with entries in 1..q (empty for q <= 2).
+    """
+    code = tuple(int(c) for c in code)
+    if q < 1:
+        raise TreeInputError(f"q must be >= 1, got {q}")
+    if q <= 2:
+        if code:
+            raise TreeInputError(f"q={q} admits no Prüfer code, got length {len(code)}")
+    elif len(code) != q - 2:
+        raise TreeInputError(f"code length {len(code)} != q-2 = {q - 2}")
+    for c in code:
+        if not (1 <= c <= q):
+            raise TreeInputError(f"code entry {c} outside 1..{q}")
+    parent, children, order = decode_prufer_arrays(code, q)
+    return RootedTree(q=q, parent=tuple(parent),
+                      children=tuple(tuple(c) for c in children),
+                      _order=tuple(order))
 
 
 def encode_prufer(tree: RootedTree) -> tuple:

@@ -218,6 +218,24 @@ class TestMatrixFormat:
         with pytest.raises(pio.ParseError, match="expected 2"):
             pio.load_matrix(path)
 
+    @pytest.mark.parametrize("text, column", [
+        ("0  1 x\n", 6), ("  0 1 x\n", 7), ("0\t1 x\n", 5)])
+    def test_tree_parse_error_column(self, tmp_path, text, column):
+        path = tmp_path / "t.tree"
+        path.write_text("# header\n" + text)
+        with pytest.raises(pio.ParseError) as info:
+            pio.load_tree(path)
+        assert (info.value.line, info.value.column) == (2, column)
+
+    @pytest.mark.parametrize("text, column", [
+        (" 3,y\n", 4), ("3, y\n", 4), (" z,3\n", 2), ("3,,4\n", 3)])
+    def test_matrix_parse_error_column(self, tmp_path, text, column):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n" + text)
+        with pytest.raises(pio.ParseError) as info:
+            pio.load_matrix(path)
+        assert (info.value.line, info.value.column) == (2, column)
+
     def test_comment_header_skipped(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("# samples s1,s2\n0.1,0.2\n0.3,0.4\n")

@@ -140,6 +140,31 @@ class TestObjective:
                           penalty=lambda tree: tree.q * 1.0)
         assert objective(0.5, t, spec) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("scaling", ["identity", "log1p", "square"])
+    @pytest.mark.parametrize("penalty", [
+        "zero", "leaves:0.3",
+        lambda tree: 0.05 * len(tree.children[1]) + 0.01 * tree.parent[tree.q]])
+    def test_search_scores_every_tree_as_objective_does(self, scaling, penalty):
+        rng = np.random.default_rng(4)
+        spec = SearchSpec(fhat=rng.standard_normal((5, 2)), k=count_trees(5),
+                          scaling=scaling, penalty=penalty)
+        report = search_all(spec)
+        assert len(report.ranked) == 125
+        for entry in report.ranked:
+            tree = decode_prufer(entry.code, 5)
+            assert entry.objective == objective(entry.cost, tree, spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequencies_rejected(self, bad):
+        fhat = np.full((4, 2), 0.5)
+        fhat[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SearchSpec(fhat=fhat)
+
+    def test_three_dimensional_frequencies_rejected(self):
+        with pytest.raises(ValueError, match="3-D"):
+            SearchSpec(fhat=np.zeros((4, 2, 1)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchSpec(fhat=np.zeros((3, 1)), k=0)

@@ -111,6 +111,46 @@ class TestPrufer:
             assert encode_prufer(tree) == code
             assert decode_prufer(encode_prufer(tree), q) == tree
 
+    def test_decode_matches_reference_decode_exhaustive(self):
+        # Textbook O(q^2) decode (repeatedly join the smallest leaf to the
+        # next code entry), oriented away from node 1 by a DFS.
+        def reference_parents(code, q):
+            degree = [1] * (q + 1)
+            for c in code:
+                degree[c] += 1
+            edges = []
+            for c in code:
+                leaf = min(v for v in range(1, q + 1) if degree[v] == 1)
+                edges.append((leaf, c))
+                degree[leaf] -= 1
+                degree[c] -= 1
+            last = [v for v in range(1, q + 1) if degree[v] == 1]
+            if len(last) == 2:
+                edges.append(tuple(last))
+            adjacency = {v: [] for v in range(1, q + 1)}
+            for a, b in edges:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+            parents = [0] * q
+            stack = [1]
+            seen = {1}
+            while stack:
+                v = stack.pop()
+                for w in adjacency[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        parents[w - 1] = v
+                        stack.append(w)
+            return parents
+
+        for q in range(1, 8):
+            for code in itertools.product(range(1, q + 1), repeat=max(q - 2, 0)):
+                tree = decode_prufer(code, q)
+                ref = RootedTree.from_parent_array(reference_parents(code, q))
+                assert tree == ref
+                assert tree.children == ref.children
+                assert tree.bfs_order() == ref.bfs_order()
+
     def test_decode_rejects_bad_labels(self):
         with pytest.raises(TreeInputError):
             decode_prufer((0, 1), 4)
