@@ -7,7 +7,9 @@ when available, otherwise the max-abs change between successive iterates.
 The ancestry matrix is never inverted: its inverse is I minus the
 closest-ancestor adjacency, so the dual quadratic is applied with a parent
 difference followed by a child-sum subtraction, and the primal products use
-per-depth batched path and subtree sums.
+per-depth batched path and subtree sums.  The ADMM solvers apply their
+quadratic prox through a cached inverse of the SPD prox matrix, one dense
+matrix-vector product per iteration.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .tree import RootedTree, ancestor_sums, ancestry_matrix
+from .tree import (RootedTree, ancestor_sums, ancestry_matrix,
+                   closest_ancestor_matrix)
 
 
 @dataclass
@@ -249,7 +251,8 @@ class _DivergenceGuard:
 def admm_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
                 reference_m=None):
     """Consensus ADMM on the primal projection: quadratic prox by a cached
-    factorization, simplex prox, then averaging and dual ascent.
+    inverse of the SPD prox matrix, simplex prox, then averaging and dual
+    ascent.
 
     Returns ``(m, trace)``; ``trace.converged`` is False if the iteration
     cap was hit before the tolerance.
@@ -259,7 +262,7 @@ def admm_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     q = tree.q
     u = ancestry_matrix(tree).astype(float)
     rho, alpha = cfg.rho, cfg.alpha
-    fac = cho_factor(rho * np.eye(q) + u.T @ u)
+    prox = np.linalg.inv(rho * np.eye(q) + u.T @ u)
     utf = u.T @ f
 
     m = np.zeros(q)
@@ -269,7 +272,7 @@ def admm_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     start = time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
         prev = m
-        m1 = cho_solve(fac, rho * m - rho * u1 + utf)
+        m1 = prox @ (rho * m - rho * u1 + utf)
         m2 = simplex_project(m - u2)
         m = 0.5 * (m1 + u1 + m2 + u2)
         u1 = u1 + alpha * (m1 - m)
@@ -293,11 +296,9 @@ def admm_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     ops = TreeOps(tree)
     n = ancestor_sums(tree, f)
     rho, alpha = cfg.rho, cfg.alpha
-    # U^-1 (U^-1)^T assembled from parent differences; dense factor cached.
-    uinv = np.eye(q)
-    for j in range(2, q + 1):
-        uinv[tree.parent[j] - 1, j - 1] -= 1.0
-    fac = cho_factor(rho * np.eye(q) + uinv @ uinv.T)
+    # U^-1 = I - T, with T the closest-ancestor adjacency; prox inverse cached.
+    uinv = np.eye(q) - closest_ancestor_matrix(tree)
+    prox = np.linalg.inv(rho * np.eye(q) + uinv @ uinv.T)
 
     z = np.zeros(q)
     t = 0.0
@@ -310,7 +311,7 @@ def admm_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     start = time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
         prev = m
-        x_z = cho_solve(fac, rho * (z - u_z))
+        x_z = prox @ (rho * (z - u_z))
         x_t = (rho * t - rho * u_t - 1.0) / rho
         x_gz, x_gt = polyhedron_project(z - u_gz, t - u_gt, n)
         z = 0.5 * (x_z + u_z + x_gz + u_gz)

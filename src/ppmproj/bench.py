@@ -92,11 +92,9 @@ def run_bench(sizes, solvers, trials, seed, cmin=1, cmax=4, p=1,
                                    exact_time, 0.0, True)
                 else:
                     grid = default_grid(solver_id, tree, tol, max_iters)
-                    cfg = autotune(solver_id, tree, fcol, grid,
-                                   reference_m=ref.m_star)
-                    outcome = SOLVERS[solver_id](tree, fcol, cfg,
-                                                 reference_m=ref.m_star)
-                    trace = outcome[-1]
+                    _, trace = autotune(solver_id, tree, fcol, grid,
+                                        reference_m=ref.m_star,
+                                        return_trace=True)
                     reached = trace.time_to(tol)
                     converged = reached is not None
                     elapsed = reached if converged else trace.times[-1]

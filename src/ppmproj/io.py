@@ -7,6 +7,7 @@ lossless for doubles.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -68,7 +69,8 @@ def load_matrix(path) -> np.ndarray:
     """Read a q-by-p CSV frequency matrix (rows = positions, cols = samples).
 
     Lines starting with '#' are header comments.  Raises ParseError with
-    line/column positions for non-numeric entries or ragged rows.
+    line/column positions for non-numeric or non-finite entries and for
+    ragged rows.
     """
     rows = []
     width = None
@@ -81,13 +83,17 @@ def load_matrix(path) -> np.ndarray:
             start = 0
             for tok in raw.rstrip("\n").split(","):
                 try:
-                    values.append(float(tok))
+                    value = float(tok)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     # Point at the token's first non-blank character, or at
                     # the field itself when it is blank.
                     lead = len(tok) - len(tok.lstrip()) if tok.strip() else 0
-                    raise ParseError(f"expected a number, got {tok.strip()!r}",
-                                     path, lineno, start + lead + 1) from None
+                    raise ParseError(
+                        f"expected a finite number, got {tok.strip()!r}",
+                        path, lineno, start + lead + 1)
+                values.append(value)
                 start += len(tok) + 1
             if width is None:
                 width = len(values)
@@ -98,10 +104,7 @@ def load_matrix(path) -> np.ndarray:
             rows.append(values)
     if not rows:
         raise ParseError("no data rows found", path)
-    mat = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(mat)):
-        raise ParseError("matrix contains non-finite entries", path)
-    return mat
+    return np.array(rows, dtype=float)
 
 
 def save_matrix(mat, path, header=None):

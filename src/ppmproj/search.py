@@ -10,7 +10,9 @@ Each tree is decoded by :func:`ppmproj.tree.decode_prufer_arrays` (the
 decoder behind ``decode_prufer``) to flat 1-indexed lists, projected column
 by column by ``projection._sweep`` (the sweep behind ``project``) and scored
 by the penalty :func:`objective` uses; no :class:`RootedTree` or numpy array
-is built per tree, since at these sizes interpreter overhead is the cost.
+is built per tree, since at these sizes interpreter overhead is the cost.  A
+custom penalty callable is the exception: it gets a :class:`RootedTree`
+built straight from the decoder's lists.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def resolve_penalty(spec):
     """Penalty as a callable ``penalty(parent, children) -> float`` on the
     flat 1-indexed lists of :func:`ppmproj.tree.decode_prufer_arrays`."""
     if callable(spec):
-        return lambda parent, children: spec(RootedTree.from_parent_array(parent[1:]))
+        return lambda parent, children: spec(RootedTree(
+            len(parent) - 1, tuple(parent), tuple(map(tuple, children))))
     if spec == "zero" or spec is None:
         return lambda parent, children: 0.0
     if isinstance(spec, tuple) and spec[0] == "leaves":

@@ -95,10 +95,6 @@ class RootedTree:
         object.__setattr__(self, "_order", order)
         return order
 
-    def parent_array(self) -> list:
-        """Parent labels as a 0-indexed list (entry i-1 for node i; 0 = root)."""
-        return list(self.parent[1:])
-
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff node ``a`` is an ancestor of ``b`` or ``a == b``."""
         while b != 0:
@@ -106,9 +102,6 @@ class RootedTree:
                 return True
             b = self.parent[b]
         return False
-
-    def leaf_count(self) -> int:
-        return sum(1 for i in range(1, self.q + 1) if not self.children[i])
 
     def to_text(self) -> str:
         """One line of q space-separated parent labels, 0 for the root."""

@@ -282,18 +282,17 @@ class TestSolversOnRandomInstances:
             guard.check(3.0)
 
     def test_admm_primal_prox_solves_normal_equations(self):
+        # From zero state one iteration averages the quadratic prox
+        # A^-1 U^T f, A = rho I + U^T U, with the simplex prox of 0 (= 1/q).
         rng = np.random.default_rng(9)
         tree = random_labeled_tree(15, rng)
         f = rng.standard_normal(15)
         u = ancestry_matrix(tree).astype(float)
         rho = 1.3
-        from scipy.linalg import cho_factor, cho_solve
-        fac = cho_factor(rho * np.eye(15) + u.T @ u)
-        m = rng.standard_normal(15)
-        u1 = rng.standard_normal(15)
-        m1 = cho_solve(fac, rho * m - rho * u1 + u.T @ f)
-        residual = (rho * np.eye(15) + u.T @ u) @ m1 - (rho * m - rho * u1 + u.T @ f)
-        assert np.max(np.abs(residual)) <= 1e-10
+        m, trace = admm_primal(tree, f, SolverConfig(rho=rho, max_iters=1))
+        assert trace.iterations == [1]
+        prox = np.linalg.solve(rho * np.eye(15) + u.T @ u, u.T @ f)
+        assert np.max(np.abs(m - 0.5 * (prox + 1.0 / 15))) <= 1e-10
 
 
 class TestAutotune:

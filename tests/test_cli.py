@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line surface and file formats."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ppmproj
+from ppmproj import baselines
 from ppmproj import io as pio
-from ppmproj.bench import BENCH_HEADER, run_bench, make_instance
+from ppmproj.bench import BENCH_HEADER, default_grid, run_bench, make_instance
 from ppmproj.cli import main
 from ppmproj.oracle import oracle_project
 
@@ -32,6 +38,15 @@ class TestProjectCommand:
         assert payload["t_star"] == pytest.approx([-0.5], abs=1e-12)
         m = np.array(payload["m_star"])
         assert m[:, 0] == pytest.approx([0.3, 0.7], abs=1e-12)
+
+    def test_non_finite_entry_reported_with_position(self, chain_files,
+                                                    tmp_path, capsys):
+        tree, _ = chain_files
+        matrix = tmp_path / "nan.csv"
+        matrix.write_text("0.5,0.1\nnan,0.2\n")
+        assert main(["project", str(tree), str(matrix)]) == 2
+        assert "nan.csv:2:1: expected a finite number, got 'nan'" in \
+            capsys.readouterr().err
 
     def test_single_node(self, tmp_path):
         tree = tmp_path / "one.tree"
@@ -228,7 +243,8 @@ class TestMatrixFormat:
         assert (info.value.line, info.value.column) == (2, column)
 
     @pytest.mark.parametrize("text, column", [
-        (" 3,y\n", 4), ("3, y\n", 4), (" z,3\n", 2), ("3,,4\n", 3)])
+        (" 3,y\n", 4), ("3, y\n", 4), (" z,3\n", 2), ("3,,4\n", 3),
+        ("nan,0.2\n", 1), ("0.1, inf\n", 6), ("-inf,3\n", 1), ("3,1e999\n", 3)])
     def test_matrix_parse_error_column(self, tmp_path, text, column):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n" + text)
@@ -271,6 +287,31 @@ class TestBench:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == BENCH_HEADER
 
+    def test_autotune_winner_is_not_rerun(self, monkeypatch):
+        calls = {}
+
+        def counting(solver_id):
+            solve = baselines.SOLVERS[solver_id]
+
+            def wrapped(tree, fcol, cfg, reference_m=None):
+                key = (solver_id, tree.q, tuple(fcol))
+                calls[key] = calls.get(key, 0) + 1
+                return solve(tree, fcol, cfg, reference_m=reference_m)
+            return wrapped
+
+        solvers = ["admm-primal", "admm-dual", "pgd-primal", "pgd-dual"]
+        for solver_id in solvers:
+            monkeypatch.setitem(baselines.SOLVERS, solver_id, counting(solver_id))
+        run_bench([6, 9], solvers, trials=2, seed=3, tol=1e-3, max_iters=2000)
+        assert len(calls) == 2 * 2 * len(solvers)
+        for size in (6, 9):
+            for trial in range(2):
+                _, tree, fhat = make_instance(3, size, trial)
+                for solver_id in solvers:
+                    grid = default_grid(solver_id, tree, 1e-3, 2000)
+                    key = (solver_id, size, tuple(fhat[:, 0]))
+                    assert calls[key] == len(grid)
+
     def test_cli_bench_subcommand(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "6", "--solvers", "exact",
@@ -289,3 +330,20 @@ class TestBench:
         t_large = summary[(1000, "exact")]
         slope = np.log(t_large / t_small) / np.log(10.0)
         assert slope < 2.0
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    """``import ppmproj, ppmproj.cli`` pulls in the standard library and
+    numpy only; every CLI call pays for whatever else it loads."""
+    src = pathlib.Path(ppmproj.__file__).resolve().parents[1]
+    probe = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import ppmproj, ppmproj.cli\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before\n"
+        "        if not m.startswith('__')}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'ppmproj'}))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

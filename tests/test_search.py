@@ -146,10 +146,22 @@ class TestObjective:
         lambda tree: 0.05 * len(tree.children[1]) + 0.01 * tree.parent[tree.q]])
     def test_search_scores_every_tree_as_objective_does(self, scaling, penalty):
         rng = np.random.default_rng(4)
+        received = []
+        if callable(penalty):
+            user_penalty = penalty
+
+            def penalty(tree):
+                received.append(tree)
+                return user_penalty(tree)
         spec = SearchSpec(fhat=rng.standard_normal((5, 2)), k=count_trees(5),
                           scaling=scaling, penalty=penalty)
         report = search_all(spec)
         assert len(report.ranked) == 125
+        if callable(penalty):
+            # A serial search scans Prüfer indices in order, so the callable
+            # sees each tree once, in index order, as decode_prufer builds it.
+            assert received == [decode_prufer(index_to_code(i, 5), 5)
+                                for i in range(125)]
         for entry in report.ranked:
             tree = decode_prufer(entry.code, 5)
             assert entry.objective == objective(entry.cost, tree, spec)
