@@ -13,11 +13,15 @@ down the optimal t by linear interpolation on the final segment, and
 converts the dual minimizer into the projected mutant fractions and
 frequencies.
 
-:func:`_sweep` is the library's only sweep.  It works on flat 1-indexed
-lists so that :func:`project` and the exhaustive search share it; only the
-final arrays of :func:`project` become numpy.  The reduction, the crossing
-scan and the update visit only the free nodes, and the star pass every
-node, so a column costs O(q) per segment over at most q + 1 segments.
+:func:`_sweep` is the library's only exact sweep.  It works on flat
+1-indexed lists so that :func:`project` and the exhaustive search share it;
+only the final arrays of :func:`project` become numpy.  The reduction, the
+crossing scan and the update visit only the free nodes, and the star pass
+every node, so a column costs O(q) per segment over at most q + 1 segments.
+
+:func:`_sweep_block` runs the same sweep in numpy on a block of trees at
+once and returns costs only.  The search uses it to screen trees; every
+number the search reports still comes from :func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -277,6 +281,119 @@ def _sweep(q, parent, children, order, f, path=None, counters=None):
         d = f[i] - fi
         cost2 += d * d
     return t_star, zs, m, fstar, cost2, segments
+
+
+def _tie_tolerance_block(t):
+    """:func:`tie_tolerance` of every entry of ``t``."""
+    return 1e-9 * np.maximum(np.abs(t), 1.0)
+
+
+def _sweep_block(parent, order, f):
+    """Squared projection cost of one column on each of B trees in lockstep.
+
+    ``parent`` (B, q+1) and ``order`` (B, q) are as returned by
+    :func:`ppmproj.tree.decode_prufer_block`, and ``f`` is the column as a
+    length-(q+1) vector with ``f[0]`` unused.  Runs :func:`_sweep`'s
+    two-pass sweep, with its tie tolerance and ``RATE_ONE_EPS``, on all
+    trees at once and returns ``(cost2, uncertified)``: the (B,) squared
+    costs and a mask of the rows it cannot vouch for (curvature below
+    ``LSECOND_GUARD``, a non-finite cost or too many segments).  The sums
+    run in another order than :func:`_sweep`'s, so the costs may differ
+    from its costs in the last bits; it builds no m, f or z vectors.
+
+    Each tree is relabelled by position in its order, so that position j's
+    parent lies at a smaller position and the state is (q+1, B) arrays
+    whose row j is position j of every tree (row 0 is the zero anchor above
+    the root).  Step j of either pass then reads or writes one parent per
+    tree, so its scattered indices are unique.  Rows that finish are
+    compacted out after each segment.
+    """
+    b, q = order.shape
+    f = np.asarray(f, dtype=float)
+    rows = np.arange(b)[:, None]
+    pos = np.zeros((b, q + 1), dtype=np.int64)
+    pos[rows, order] = np.arange(1, q + 1)
+    up = np.zeros((q + 1, b), dtype=np.int64)
+    up[1:] = pos[rows, parent[rows, order]].T
+    fcol = np.zeros((q + 1, b))
+    fcol[1:] = f[order].T
+
+    cost2 = np.full(b, np.nan)
+    uncertified = np.ones(b, dtype=bool)
+    live = np.arange(b)
+    width = b
+    flat = up * width + np.arange(width)
+    n = np.zeros((q + 1, width))
+    nf = n.reshape(-1)
+    for j in range(1, q + 1):
+        n[j] = fcol[j] + nf[flat[j]]
+    t = n[1:].max(axis=0)
+    fixed = np.zeros((q + 1, width), dtype=bool)
+    fixed[1:] = n[1:] >= t - _tie_tolerance_block(t)
+    z = np.zeros((q + 1, width))
+    lp = np.zeros(width)
+    crossing_rate = 1.0 - RATE_ONE_EPS
+
+    for _ in range(q + 1):
+        s = np.zeros((q + 1, width))
+        a = np.zeros((q + 1, width))
+        sf = s.reshape(-1)
+        af = a.reshape(-1)
+        one_s = np.empty((q + 1, width))
+        for j in range(q, 1, -1):
+            d = np.add(s[j], 1.0, out=one_s[j])
+            fx = fixed[j]
+            # The indices are unique; add.at is only the faster scatter.
+            np.add.at(sf, flat[j], np.where(fx, 1.0, s[j] / d))
+            np.add.at(af, flat[j], np.where(fx, 1.0, a[j] / d))
+        np.add(s[1], 1.0, out=one_s[1])
+        rate = np.zeros((q + 1, width))
+        rf = rate.reshape(-1)
+        for j in range(1, q + 1):
+            rate[j] = np.where(fixed[j], 1.0, (rf[flat[j]] + a[j]) / one_s[j])
+        d = rate[1:] - rf[flat[1:]]
+        lpp = np.einsum("ij,ij->j", d, d)
+
+        c = rate[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pr = (n[1:] + z[1:] - t * c) / (1.0 - c)
+            pr = np.where(~fixed[1:] & (c < crossing_rate) & (pr < t), pr, _NEG_INF)
+            best = pr.max(axis=0)
+            lp_next = lp + (best - t) * lpp
+        done = (best == _NEG_INF) | (lp_next < -1.0)
+
+        finished = np.flatnonzero(done)
+        if finished.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                td, lppd = t[finished], lpp[finished]
+                step = (td - (1.0 + lp[finished]) / lppd) - td
+                zs = np.where(np.take(fixed, finished, axis=1),
+                              td - np.take(n, finished, axis=1) + step,
+                              np.take(z, finished, axis=1)
+                              + step * np.take(rate, finished, axis=1))
+                fd = np.take_along_axis(zs, np.take(up, finished, axis=1), axis=0) - zs
+                diff = np.take(fcol, finished, axis=1)[1:] - fd[1:]
+                c2 = np.einsum("ij,ij->j", diff, diff)
+            rows_done = live[finished]
+            cost2[rows_done] = c2
+            uncertified[rows_done] = ~(lppd >= LSECOND_GUARD) | ~np.isfinite(c2)
+            going = np.flatnonzero(~done)
+            if not going.size:
+                break
+
+        with np.errstate(invalid="ignore"):
+            fixed[1:] |= pr >= best - _tie_tolerance_block(best)
+            z += (best - t) * rate
+        t = best
+        lp = lp_next
+        if finished.size:
+            live = live[going]
+            width = live.size
+            up, fcol, n, fixed, z = (
+                np.take(x, going, axis=1) for x in (up, fcol, n, fixed, z))
+            t, lp = t[going], lp[going]
+            flat = up * width + np.arange(width)
+    return cost2, uncertified
 
 
 def project(tree: RootedTree, fhat_col, keep_path=False,

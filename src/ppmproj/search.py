@@ -6,13 +6,17 @@ and rooted at node 1.  Workers scan disjoint contiguous index ranges and
 keep a local top-k; the reducer merges by (objective, code) so the output
 is identical for any worker count.
 
-Each tree is decoded by :func:`ppmproj.tree.decode_prufer_arrays` (the
-decoder behind ``decode_prufer``) to flat 1-indexed lists, projected column
-by column by ``projection._sweep`` (the sweep behind ``project``) and scored
-by the penalty :func:`objective` uses; no :class:`RootedTree` or numpy array
-is built per tree, since at these sizes interpreter overhead is the cost.  A
-custom penalty callable is the exception: it gets a :class:`RootedTree`
-built straight from the decoder's lists.
+Each worker walks its range in blocks of ``_BLOCK`` trees.  A block is
+decoded in lockstep by :func:`ppmproj.tree.decode_prufer_block`, swept one
+column at a time for all its trees at once by ``projection._sweep_block``,
+and scored by the penalty :func:`objective` uses, once per tree; no
+:class:`RootedTree` (except for a custom penalty callable) or per-tree numpy
+array is built.  The block's costs serve only as a screen: a tree whose
+objective, widened by a relative ``_SCREEN_SLACK``, cannot reach the top k
+is dropped, and the few that can, with any tree the block sweep cannot vouch
+for, are scored again in index order by :func:`ppmproj.tree.decode_prufer_arrays` and
+``projection._sweep`` (the sweep behind ``project``).  Every reported
+number therefore comes from the scalar core, whatever the block size.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import _sweep
-from .tree import RootedTree, count_trees, decode_prufer_arrays
+from .projection import _sweep, _sweep_block
+from .tree import RootedTree, count_trees, decode_prufer_arrays, decode_prufer_block
 
 SEARCH_Q_LIMIT = 11
 
@@ -60,14 +64,24 @@ def resolve_scaling(spec):
             "or pass a callable") from None
 
 
+def _scaling_block(jfn):
+    """``jfn`` applied entrywise to an array."""
+    if jfn is math.log1p:
+        return np.log1p
+    if jfn is _identity or jfn is _square:
+        return jfn
+    return np.vectorize(jfn, otypes=[float])
+
+
 def resolve_penalty(spec):
-    """Penalty as a callable ``penalty(parent, children) -> float`` on the
-    flat 1-indexed lists of :func:`ppmproj.tree.decode_prufer_arrays`."""
+    """Penalty as a callable ``penalty(parent) -> values`` on a (B, q+1)
+    block of parent rows laid out as :func:`ppmproj.tree.decode_prufer_block`
+    returns them; it returns one float per row."""
     if callable(spec):
-        return lambda parent, children: spec(RootedTree(
-            len(parent) - 1, tuple(parent), tuple(map(tuple, children))))
+        return lambda parent: np.array(
+            [spec(_tree_from_parent(row)) for row in parent.tolist()], dtype=float)
     if spec == "zero" or spec is None:
-        return lambda parent, children: 0.0
+        return lambda parent: np.zeros(len(parent))
     if isinstance(spec, tuple) and spec[0] == "leaves":
         weight = float(spec[1])
     elif isinstance(spec, str) and spec.startswith("leaves:"):
@@ -75,7 +89,24 @@ def resolve_penalty(spec):
     else:
         raise ValueError(
             f"unknown penalty {spec!r}; use 'zero', 'leaves:<weight>' or a callable")
-    return lambda parent, children: weight * sum(1 for c in children[1:] if not c)
+    return lambda parent: weight * _leaf_counts(parent)
+
+
+def _tree_from_parent(parent):
+    """:class:`RootedTree` of one 1-indexed parent list (entry 0 unused)."""
+    q = len(parent) - 1
+    children = [[] for _ in range(q + 1)]
+    for v in range(2, q + 1):
+        children[parent[v]].append(v)
+    return RootedTree(q, tuple(parent), tuple(map(tuple, children)))
+
+
+def _leaf_counts(parent):
+    """Childless nodes of each row of a (B, q+1) parent block."""
+    b, width = parent.shape
+    has_child = np.zeros((b, width), dtype=bool)
+    has_child[np.arange(b)[:, None], parent[:, 2:]] = True
+    return (width - 1) - has_child[:, 1:].sum(axis=1)
 
 
 @dataclass
@@ -123,15 +154,19 @@ class RankedTree:
 
 @dataclass
 class SearchReport:
+    """The best k trees; ``trees_rescored`` of the ``trees_evaluated`` trees
+    passed the block screen and were scored again by the scalar sweep."""
+
     ranked: list
     trees_evaluated: int
+    trees_rescored: int
     elapsed: float
 
 
 def objective(cost: float, tree: RootedTree, spec: SearchSpec) -> float:
     """Scalar search objective: scaled projection cost plus topology penalty."""
     penalty = resolve_penalty(spec.penalty)
-    return resolve_scaling(spec.scaling)(cost) + penalty(tree.parent, tree.children)
+    return resolve_scaling(spec.scaling)(cost) + float(penalty(np.array([tree.parent]))[0])
 
 
 def index_to_code(index: int, q: int) -> tuple:
@@ -144,6 +179,18 @@ def index_to_code(index: int, q: int) -> tuple:
         index, d = divmod(index, q)
         digits[pos] = d + 1
     return tuple(digits)
+
+
+def _code_block(start: int, stop: int, q: int):
+    """Prüfer codes of the indices [start, stop) as a (stop - start, q-2)
+    array: the digits of ``start`` plus each offset, carried in base q, so
+    that an index beyond the int64 range never appears."""
+    width = max(q - 2, 0)
+    codes = np.empty((stop - start, width), dtype=np.int64)
+    carry = np.arange(stop - start, dtype=np.int64)
+    for pos, digit in zip(range(width - 1, -1, -1), reversed(index_to_code(start, q))):
+        carry, codes[:, pos] = np.divmod(carry + (digit - 1), q)
+    return codes + 1
 
 
 def partition_ranges(total: int, parts: int):
@@ -160,10 +207,17 @@ def partition_ranges(total: int, parts: int):
 
 
 # ---------------------------------------------------------------------------
-# Flat-array per-tree evaluation (hot path)
+# Block screen and flat-array per-tree evaluation (hot path)
+
+# Trees screened per block; larger blocks amortise numpy's per-call cost.
+_BLOCK = 8192
+# Relative error allowed between a screened cost and the scalar core's.
+_SCREEN_SLACK = 1e-9
+
 
 def _evaluate_tree(code, q, fcols, jfn, penalty):
-    """(objective, cost, m_cols, f_cols) for one Prüfer code."""
+    """(objective, cost, m_cols, f_cols) for one Prüfer code, given the
+    tree's penalty value."""
     parent, children, order = decode_prufer_arrays(code, q)
     cost2 = 0.0
     m_cols = []
@@ -174,7 +228,7 @@ def _evaluate_tree(code, q, fcols, jfn, penalty):
         m_cols.append(m[1:])
         f_cols.append(fstar[1:])
     cost = math.sqrt(cost2)
-    return jfn(cost) + penalty(parent, children), cost, m_cols, f_cols
+    return jfn(cost) + penalty, cost, m_cols, f_cols
 
 
 _WORKER_STATE = {}
@@ -186,31 +240,70 @@ def _init_worker(fhat_list, q, k, scaling, penalty):
     _WORKER_STATE["q"] = q
     _WORKER_STATE["k"] = k
     _WORKER_STATE["fcols"] = fcols
-    _WORKER_STATE["jfn"] = resolve_scaling(scaling)
+    _WORKER_STATE["jfn"] = jfn = resolve_scaling(scaling)
+    _WORKER_STATE["jfn_block"] = _scaling_block(jfn)
     _WORKER_STATE["penalty"] = resolve_penalty(penalty)
 
 
 def _scan_range(bounds):
-    """Evaluate [start, stop) and return that range's top-k candidate rows."""
+    """Score [start, stop); return that range's top-k candidate rows and
+    the number of trees re-scored.
+
+    Each block of ``_BLOCK`` trees is decoded and swept in lockstep, which
+    bounds every tree's objective from both sides.  Only the trees whose
+    lower bound reaches the k-th best objective so far (or the block's k-th
+    upper bound, if smaller), and the trees the block sweep cannot vouch
+    for, go through :func:`_evaluate_tree`, in index order; every reported
+    number comes from there.  The bounds widen the cost by a relative
+    ``_SCREEN_SLACK`` and hold for any nondecreasing scaling and any
+    penalty, since the penalty is computed once per tree and reused.
+    """
     start, stop = bounds
     q = _WORKER_STATE["q"]
     k = _WORKER_STATE["k"]
     fcols = _WORKER_STATE["fcols"]
     jfn = _WORKER_STATE["jfn"]
+    jfn_block = _WORKER_STATE["jfn_block"]
     penalty = _WORKER_STATE["penalty"]
+    fblock = np.array(fcols)
     top = []
     worst = None
-    for index in range(start, stop):
-        code = index_to_code(index, q)
-        obj, cost, m_cols, f_cols = _evaluate_tree(code, q, fcols, jfn, penalty)
-        key = (obj, code)
-        if worst is not None and key >= worst and len(top) >= k:
-            continue
-        bisect.insort(top, (obj, code, cost, m_cols, f_cols))
-        if len(top) > k:
-            top.pop()
-        worst = (top[-1][0], top[-1][1])
-    return top
+    rescored = 0
+    for lo in range(start, stop, _BLOCK):
+        codes = _code_block(lo, min(lo + _BLOCK, stop), q)
+        parent, order = decode_prufer_block(codes, q)
+        cost2 = np.zeros(len(codes))
+        uncertified = np.zeros(len(codes), dtype=bool)
+        for f in fblock:
+            c2, bad = _sweep_block(parent, order, f)
+            cost2 += c2
+            uncertified |= bad
+        pens = penalty(parent)
+        certified = ~uncertified & np.isfinite(cost2)
+        cost = np.sqrt(cost2[certified])
+        pen = pens[certified]
+        slack = _SCREEN_SLACK * np.maximum(1.0, cost)
+        lower = jfn_block(np.maximum(0.0, cost - slack)) + pen
+        upper = jfn_block(cost + slack) + pen
+        bar = top[-1][0] if len(top) >= k else math.inf
+        if upper.size >= k:
+            bar = min(bar, np.partition(upper, k - 1)[k - 1])
+        keep = ~certified
+        keep[certified] = lower <= bar
+        kept = np.flatnonzero(keep).tolist()
+        rescored += len(kept)
+        pens = pens.tolist()
+        for i in kept:
+            code = tuple(codes[i].tolist())
+            obj, cost_i, m_cols, f_cols = _evaluate_tree(code, q, fcols, jfn, pens[i])
+            key = (obj, code)
+            if worst is not None and key >= worst and len(top) >= k:
+                continue
+            bisect.insort(top, (obj, code, cost_i, m_cols, f_cols))
+            if len(top) > k:
+                top.pop()
+            worst = (top[-1][0], top[-1][1])
+    return top, rescored
 
 
 def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> SearchReport:
@@ -221,6 +314,8 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
     (the tree count grows as q^(q-2)).
     """
     q = spec.q
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if q > SEARCH_Q_LIMIT and not force:
         raise ValueError(
             f"q={q} means {q}^{q - 2} = {count_trees(q)} trees; "
@@ -231,15 +326,15 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
 
     start_time = time.perf_counter()
     ranges = partition_ranges(total, workers)
-    if workers <= 1 or total == 1:
+    if len(ranges) == 1:
         _init_worker(*init_args)
         partials = [_scan_range(r) for r in ranges]
     else:
         ctx = mp.get_context("fork")
-        with ctx.Pool(processes=workers, initializer=_init_worker,
+        with ctx.Pool(processes=len(ranges), initializer=_init_worker,
                       initargs=init_args) as pool:
             partials = pool.map(_scan_range, ranges)
-    merged = sorted(row for part in partials for row in part)[:spec.k]
+    merged = sorted(row for top, _ in partials for row in top)[:spec.k]
     elapsed = time.perf_counter() - start_time
 
     ranked = [
@@ -249,7 +344,8 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
         )
         for obj, code, cost, m_cols, f_cols in merged
     ]
-    return SearchReport(ranked=ranked, trees_evaluated=total, elapsed=elapsed)
+    return SearchReport(ranked=ranked, trees_evaluated=total,
+                        trees_rescored=sum(n for _, n in partials), elapsed=elapsed)
 
 
 # ---------------------------------------------------------------------------

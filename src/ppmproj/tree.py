@@ -184,6 +184,57 @@ def decode_prufer_arrays(code, q: int):
     return parent, children, order
 
 
+def decode_prufer_block(codes, q: int):
+    """Unchecked lockstep Prüfer decode of a block of B codes.
+
+    ``codes`` is a (B, q-2) integer array with entries in 1..q.  Returns
+    ``(parent, order)``: ``parent`` is (B, q+1) and row-wise equal to the
+    parent list of :func:`decode_prufer_arrays` (column 0 unused and 0),
+    ``order`` is (B, q) and lists each tree's nodes top-down, parents before
+    children (by depth, then label).
+
+    Step j of the decode removes the smallest leaf of every tree at once,
+    which yields each tree rooted at node q; the path from node 1 to q is
+    then reversed, so the trees hang from node 1.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    b = codes.shape[0]
+    rows = np.arange(b)
+    if q <= 2:
+        parent = np.zeros((b, q + 1), dtype=np.int64)
+        if q == 2:
+            parent[:, 2] = 1
+        return parent, np.tile(np.arange(1, q + 1), (b, 1))
+    degree = np.ones((b, q + 1), dtype=np.int64)
+    degree[:, 0] = 0
+    for j in range(q - 2):
+        degree[rows, codes[:, j]] += 1
+    up = np.zeros((b, q + 1), dtype=np.int64)
+    for j in range(q - 2):
+        leaf = np.argmax(degree == 1, axis=1)
+        c = codes[:, j]
+        up[rows, leaf] = c
+        degree[rows, leaf] = 0
+        degree[rows, c] -= 1
+    # Two nodes of degree 1 remain; the larger is always q, the root so far.
+    up[rows, np.argmax(degree == 1, axis=1)] = q
+
+    parent = up.copy()
+    prev = np.zeros(b, dtype=np.int64)
+    cur = np.ones(b, dtype=np.int64)
+    for _ in range(q):
+        parent[rows, cur] = prev
+        prev, cur = cur, up[rows, cur]
+    parent[:, 0] = 0
+
+    depth = np.zeros((b, q + 1), dtype=np.int64)
+    for _ in range(q - 1):
+        depth = np.take_along_axis(depth, parent, axis=1) + 1
+        depth[:, :2] = 0
+    order = np.argsort(depth[:, 1:], axis=1, kind="stable") + 1
+    return parent, order
+
+
 def decode_prufer(code, q: int) -> RootedTree:
     """Decode a Prüfer sequence into the labeled tree on {1..q} rooted at 1.
 
