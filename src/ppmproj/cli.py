@@ -142,8 +142,7 @@ def _cmd_bench(args):
 
 
 def _cmd_gen(args):
-    spec = GaltonWatsonSpec(q=args.q, cmin=args.cmin, cmax=args.cmax,
-                            seed=args.seed)
+    spec = GaltonWatsonSpec(q=args.q, cmin=args.cmin, cmax=args.cmax)
     rng = np.random.default_rng(args.seed)
     tree = galton_watson_tree(spec, rng=rng)
     _, fhat = random_instance(args.q, args.p, rng=rng, feasible=args.feasible,

@@ -16,7 +16,6 @@ class GaltonWatsonSpec:
     q: int
     cmin: int = 1
     cmax: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if self.q < 1:
@@ -25,14 +24,13 @@ class GaltonWatsonSpec:
             raise ValueError("need 1 <= cmin <= cmax")
 
 
-def galton_watson_tree(spec: GaltonWatsonSpec, rng=None) -> RootedTree:
+def galton_watson_tree(spec: GaltonWatsonSpec, rng) -> RootedTree:
     """Grow a branching tree breadth-first and truncate at exactly q nodes.
 
     Each dequeued node draws its child count uniformly in [cmin, cmax];
     children get the next labels in order, so labels follow the generation
     order.  cmin >= 1 rules out extinction before the target size.
     """
-    rng = rng if rng is not None else np.random.default_rng(spec.seed)
     q = spec.q
     parents = [0] * q
     queue = [1]
@@ -67,6 +65,8 @@ def random_instance(q: int, p: int = 1, rng=None, feasible: bool = False,
     the frequencies are built as U @ M for per-column mutant fractions drawn
     from a flat Dirichlet, so the instance projects onto itself at zero cost.
     """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     rng = rng if rng is not None else np.random.default_rng(0)
     if tree is None:
         tree = random_labeled_tree(q, rng)

@@ -13,11 +13,11 @@ down the optimal t by linear interpolation on the final segment, and
 converts the dual minimizer into the projected mutant fractions and
 frequencies.
 
-:func:`_sweep` is the library's only exact sweep.  It works on flat
-1-indexed lists so that :func:`project` and the exhaustive search share it;
-only the final arrays of :func:`project` become numpy.  The reduction, the
-crossing scan and the update visit only the free nodes, and the star pass
-every node, so a column costs O(q) per segment over at most q + 1 segments.
+:func:`_sweep`, the library's only exact sweep, serves :func:`project` and
+the exhaustive search.  It works on plain 1-indexed lists; only the final
+arrays of :func:`project` become numpy.  The reduction, the crossing scan
+and the update visit only the free nodes, and the star pass every node, so
+a column costs O(q) per segment over at most q + 1 segments.
 
 :func:`_sweep_block` runs the same sweep in numpy on a block of trees at
 once and returns costs only.  The search uses it to screen trees; every
@@ -178,11 +178,10 @@ def compute_rates(tree: RootedTree, boundary, counters=None):
     return np.array(rate[1:]), lsecond
 
 
-def _sweep(q, parent, children, order, f, path=None, counters=None):
-    """Project one column given as flat 1-indexed lists.
+def _sweep(tree, f, path=None, counters=None):
+    """Project one column onto ``tree``.
 
-    ``parent[v]`` is 0 for the root, ``order`` is a BFS order and ``f[v]``
-    the frequency of node v (``f[0]`` is unused).  Appends one
+    ``f[v]`` is the frequency of node v (``f[0]`` is unused).  Appends one
     :class:`PathState` per segment to ``path`` when it is a list, and
     tallies :func:`_slope_pass` counts into ``counters`` when it is a dict.
 
@@ -191,6 +190,7 @@ def _sweep(q, parent, children, order, f, path=None, counters=None):
     node's dual value is ``t - n[r]`` at every t, so it is written out only
     where it is read: in path records and at finalization.
     """
+    q, parent, children, order = tree.q, tree.parent, tree.children, tree.bfs_order()
     n = [0.0] * (q + 1)
     for v in order:
         n[v] = f[v] + n[parent[v]]
@@ -418,8 +418,7 @@ def project(tree: RootedTree, fhat_col, keep_path=False,
         raise ValueError("frequency vector contains non-finite entries")
     path = [] if keep_path else None
     t_star, z, m, fv, cost2, segments = _sweep(
-        q, tree.parent, tree.children, tree.bfs_order(), [0.0] + f.tolist(),
-        path=path, counters=counters)
+        tree, [0.0] + f.tolist(), path=path, counters=counters)
     return ProjectionResult(
         t_star=t_star, z_star=np.array(z[1:]), m_star=np.array(m[1:]),
         f_star=np.array(fv[1:]), cost=math.sqrt(cost2), iterations=segments,

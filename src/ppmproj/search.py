@@ -10,13 +10,14 @@ Each worker walks its range in blocks of ``_BLOCK`` trees.  A block is
 decoded in lockstep by :func:`ppmproj.tree.decode_prufer_block`, swept one
 column at a time for all its trees at once by ``projection._sweep_block``,
 and scored by the penalty :func:`objective` uses, once per tree; no
-:class:`RootedTree` (except for a custom penalty callable) or per-tree numpy
-array is built.  The block's costs serve only as a screen: a tree whose
+per-tree numpy array is built, and a :class:`RootedTree` only for a custom
+penalty callable.  The block's costs serve only as a screen: a tree whose
 objective, widened by a relative ``_SCREEN_SLACK``, cannot reach the top k
 is dropped, and the few that can, with any tree the block sweep cannot vouch
-for, are scored again in index order by :func:`ppmproj.tree.decode_prufer_arrays` and
-``projection._sweep`` (the sweep behind ``project``).  Every reported
-number therefore comes from the scalar core, whatever the block size.
+for, are scored again in index order by ``projection._sweep`` (the sweep
+behind ``project``) on a :class:`RootedTree` built from the block's parent
+row.  Every reported number therefore comes from the scalar core, whatever
+the block size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projection import _sweep, _sweep_block
-from .tree import RootedTree, count_trees, decode_prufer_arrays, decode_prufer_block
+from .tree import RootedTree, _tree_from_parent, count_trees, decode_prufer_block
 
 SEARCH_Q_LIMIT = 11
 
@@ -80,25 +81,15 @@ def resolve_penalty(spec):
     if callable(spec):
         return lambda parent: np.array(
             [spec(_tree_from_parent(row)) for row in parent.tolist()], dtype=float)
-    if spec == "zero" or spec is None:
+    if spec == "zero":
         return lambda parent: np.zeros(len(parent))
-    if isinstance(spec, tuple) and spec[0] == "leaves":
-        weight = float(spec[1])
-    elif isinstance(spec, str) and spec.startswith("leaves:"):
-        weight = float(spec.split(":", 1)[1])
-    else:
+    if not (isinstance(spec, str) and spec.startswith("leaves:")):
         raise ValueError(
             f"unknown penalty {spec!r}; use 'zero', 'leaves:<weight>' or a callable")
+    weight = float(spec.split(":", 1)[1])
+    if not math.isfinite(weight):
+        raise ValueError(f"penalty weight must be finite, got {spec!r}")
     return lambda parent: weight * _leaf_counts(parent)
-
-
-def _tree_from_parent(parent):
-    """:class:`RootedTree` of one 1-indexed parent list (entry 0 unused)."""
-    q = len(parent) - 1
-    children = [[] for _ in range(q + 1)]
-    for v in range(2, q + 1):
-        children[parent[v]].append(v)
-    return RootedTree(q, tuple(parent), tuple(map(tuple, children)))
 
 
 def _leaf_counts(parent):
@@ -115,7 +106,7 @@ class SearchSpec:
 
     ``scaling`` transforms the projection cost (identity, log1p, square, or
     any monotone nondecreasing callable); ``penalty`` adds a topology term
-    ('zero', 'leaves:<w>' for weight-per-leaf, or a callable taking a
+    ('zero', 'leaves:<w>' for a finite weight per leaf, or a callable taking a
     RootedTree).
     """
 
@@ -207,7 +198,7 @@ def partition_ranges(total: int, parts: int):
 
 
 # ---------------------------------------------------------------------------
-# Block screen and flat-array per-tree evaluation (hot path)
+# Block screen and per-tree evaluation (hot path)
 
 # Trees screened per block; larger blocks amortise numpy's per-call cost.
 _BLOCK = 8192
@@ -215,15 +206,13 @@ _BLOCK = 8192
 _SCREEN_SLACK = 1e-9
 
 
-def _evaluate_tree(code, q, fcols, jfn, penalty):
-    """(objective, cost, m_cols, f_cols) for one Prüfer code, given the
-    tree's penalty value."""
-    parent, children, order = decode_prufer_arrays(code, q)
+def _evaluate_tree(tree, fcols, jfn, penalty):
+    """(objective, cost, m_cols, f_cols) for one tree, given its penalty."""
     cost2 = 0.0
     m_cols = []
     f_cols = []
     for f in fcols:
-        _, _, m, fstar, c2, _ = _sweep(q, parent, children, order, f)
+        _, _, m, fstar, c2, _ = _sweep(tree, f)
         cost2 += c2
         m_cols.append(m[1:])
         f_cols.append(fstar[1:])
@@ -295,7 +284,8 @@ def _scan_range(bounds):
         pens = pens.tolist()
         for i in kept:
             code = tuple(codes[i].tolist())
-            obj, cost_i, m_cols, f_cols = _evaluate_tree(code, q, fcols, jfn, pens[i])
+            obj, cost_i, m_cols, f_cols = _evaluate_tree(
+                _tree_from_parent(parent[i].tolist()), fcols, jfn, pens[i])
             key = (obj, code)
             if worst is not None and key >= worst and len(top) >= k:
                 continue

@@ -52,7 +52,6 @@ class RootedTree:
         if q < 1:
             raise TreeInputError("tree must have at least one node")
         parent = [0] * (q + 1)
-        children = [[] for _ in range(q + 1)]
         roots = 0
         for i, p in enumerate(parents, start=1):
             p = int(p)
@@ -64,18 +63,10 @@ class RootedTree:
                 raise TreeInputError(f"parent of node {i} is {p}, outside 1..{q}")
             elif p == i:
                 raise TreeInputError(f"node {i} is its own parent")
-            else:
-                children[p].append(i)
             parent[i] = p
         if roots != 1:
             raise TreeInputError(f"expected exactly one root, found {roots}")
-        for c in children:
-            c.sort()
-        tree = RootedTree(
-            q=q,
-            parent=tuple(parent),
-            children=tuple(tuple(c) for c in children),
-        )
+        tree = _tree_from_parent(parent)
         # Connectivity: a BFS from the root must reach all q nodes.
         if len(tree.bfs_order()) != q:
             raise TreeInputError("tree is not connected (cycle or unreachable nodes)")
@@ -120,6 +111,28 @@ class RootedTree:
         return RootedTree.from_parent_array(parents)
 
 
+def _tree_from_parent(parent) -> RootedTree:
+    """Unchecked :class:`RootedTree` of a 1-indexed parent list (entry 0
+    unused, 0 for the root); children come out in ascending label order."""
+    q = len(parent) - 1
+    children = [[] for _ in range(q + 1)]
+    for v in range(2, q + 1):
+        children[parent[v]].append(v)
+    return RootedTree(q, tuple(parent), tuple(map(tuple, children)))
+
+
+def _reroot(parent, root):
+    """Copy of the 1-indexed ``parent`` list with the path from ``root`` up
+    to the old root reversed, so that ``root`` becomes the root."""
+    up = list(parent)
+    prev, cur = 0, root
+    while cur:
+        nxt = parent[cur]
+        up[cur] = prev
+        prev, cur = cur, nxt
+    return up
+
+
 def count_trees(q: int) -> int:
     """Number of labeled trees on q nodes, each rooted at node 1.
 
@@ -133,78 +146,25 @@ def count_trees(q: int) -> int:
     return q ** (q - 2)
 
 
-def decode_prufer_arrays(code, q: int):
-    """Unchecked Prüfer decode to flat 1-indexed ``(parent, children, order)``,
-    laid out as :class:`RootedTree`'s fields and :meth:`RootedTree.bfs_order`.
-
-    A pointer-based decode yields the edges; a BFS from node 1 orients them.
-    """
-    degree = [1] * (q + 1)
-    for c in code:
-        degree[c] += 1
-    adjacency = [[] for _ in range(q + 1)]
-    ptr = 1
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for c in code:
-        adjacency[leaf].append(c)
-        adjacency[c].append(leaf)
-        degree[c] -= 1
-        if degree[c] == 1 and c < ptr:
-            leaf = c
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    # The last edge joins the remaining leaf to q.  At q = 1 that leaf is q
-    # itself, and the BFS below skips the self-loop because node 1 is seen.
-    adjacency[leaf].append(q)
-    adjacency[q].append(leaf)
-
-    parent = [0] * (q + 1)
-    children = [()] * (q + 1)
-    order = [1]
-    head = 0
-    seen = [False] * (q + 1)
-    seen[1] = True
-    while head < len(order):
-        v = order[head]
-        head += 1
-        kids = []
-        for w in adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                kids.append(w)
-        kids.sort()
-        children[v] = kids
-        order.extend(kids)
-    return parent, children, order
-
-
 def decode_prufer_block(codes, q: int):
     """Unchecked lockstep Prüfer decode of a block of B codes.
 
     ``codes`` is a (B, q-2) integer array with entries in 1..q.  Returns
-    ``(parent, order)``: ``parent`` is (B, q+1) and row-wise equal to the
-    parent list of :func:`decode_prufer_arrays` (column 0 unused and 0),
-    ``order`` is (B, q) and lists each tree's nodes top-down, parents before
-    children (by depth, then label).
+    ``(parent, order)``: ``parent`` is (B, q+1) and row-wise equal to
+    ``decode_prufer(code, q).parent`` (column 0 unused and 0), ``order`` is
+    (B, q) and lists each tree's nodes top-down, parents before children (by
+    depth, then label).
 
-    Step j of the decode removes the smallest leaf of every tree at once,
-    which yields each tree rooted at node q; the path from node 1 to q is
-    then reversed, so the trees hang from node 1.
+    This is :func:`decode_prufer`'s leaf walk in lockstep: step j removes
+    the smallest leaf of every tree at once, which yields each tree rooted
+    at node q; the path from node 1 to q is then reversed, so the trees hang
+    from node 1.
     """
     codes = np.asarray(codes, dtype=np.int64)
     b = codes.shape[0]
     rows = np.arange(b)
     if q <= 2:
-        parent = np.zeros((b, q + 1), dtype=np.int64)
-        if q == 2:
-            parent[:, 2] = 1
-        return parent, np.tile(np.arange(1, q + 1), (b, 1))
+        return np.tile([0, 0, 1][:q + 1], (b, 1)), np.tile(np.arange(1, q + 1), (b, 1))
     degree = np.ones((b, q + 1), dtype=np.int64)
     degree[:, 0] = 0
     for j in range(q - 2):
@@ -239,53 +199,70 @@ def decode_prufer(code, q: int) -> RootedTree:
     """Decode a Prüfer sequence into the labeled tree on {1..q} rooted at 1.
 
     ``code`` must have length q-2 with entries in 1..q (empty for q <= 2).
+    The leaf walk hangs the tree from node q; the path from node 1 to q is
+    then reversed.
     """
-    code = tuple(int(c) for c in code)
+    code = tuple(map(int, code))
     if q < 1:
         raise TreeInputError(f"q must be >= 1, got {q}")
     if q <= 2:
         if code:
             raise TreeInputError(f"q={q} admits no Prüfer code, got length {len(code)}")
-    elif len(code) != q - 2:
+        return _tree_from_parent([0, 0, 1][:q + 1])
+    if len(code) != q - 2:
         raise TreeInputError(f"code length {len(code)} != q-2 = {q - 2}")
+    degree = [1] * (q + 1)
     for c in code:
         if not (1 <= c <= q):
             raise TreeInputError(f"code entry {c} outside 1..{q}")
-    parent, children, order = decode_prufer_arrays(code, q)
-    return RootedTree(q=q, parent=tuple(parent),
-                      children=tuple(tuple(c) for c in children),
-                      _order=tuple(order))
+        degree[c] += 1
+    up = [0] * (q + 1)
+    ptr = 1
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for c in code:
+        up[leaf] = c
+        degree[c] -= 1
+        if degree[c] == 1 and c < ptr:
+            leaf = c
+        else:
+            # Every removed leaf has index <= ptr, so the forward scan never
+            # lands on one even though removed leaves keep degree 1.
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    up[leaf] = q
+    return _tree_from_parent(_reroot(up, 1))
 
 
 def encode_prufer(tree: RootedTree) -> tuple:
-    """Prüfer sequence of a tree (length q-2); inverse of :func:`decode_prufer`."""
+    """Prüfer sequence of a tree (length q-2); inverse of :func:`decode_prufer`.
+
+    Runs the decode's leaf walk the other way: with the tree hung from node
+    q, each step emits the parent of the smallest leaf.
+    """
     q = tree.q
     if q <= 2:
         return ()
-    degree = [0] * (q + 1)
-    adjacency = [[] for _ in range(q + 1)]
-    for i in range(2, q + 1):
-        p = tree.parent[i]
-        adjacency[i].append(p)
-        adjacency[p].append(i)
-        degree[i] += 1
-        degree[p] += 1
-    removed = [False] * (q + 1)
+    up = _reroot(tree.parent, q)
+    degree = [1] * (q + 1)
+    for v in range(1, q):
+        degree[up[v]] += 1
+    degree[q] -= 1
     code = []
     ptr = 1
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
     for _ in range(q - 2):
-        neighbor = next(w for w in adjacency[leaf] if not removed[w])
-        code.append(neighbor)
-        removed[leaf] = True
-        degree[neighbor] -= 1
-        if degree[neighbor] == 1 and neighbor < ptr:
-            leaf = neighbor
+        c = up[leaf]
+        code.append(c)
+        degree[c] -= 1
+        if degree[c] == 1 and c < ptr:
+            leaf = c
         else:
-            # Every removed node has index <= ptr, so the forward scan never
-            # lands on one even though removed leaves keep degree 1.
             ptr += 1
             while degree[ptr] != 1:
                 ptr += 1

@@ -14,6 +14,7 @@ from ppmproj import baselines
 from ppmproj import io as pio
 from ppmproj.bench import BENCH_HEADER, default_grid, run_bench, make_instance
 from ppmproj.cli import main
+from ppmproj.generate import random_instance
 from ppmproj.oracle import oracle_project
 
 
@@ -141,6 +142,16 @@ class TestSearchCommand:
         assert "12^10" in err
         assert str(12 ** 10) in err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_leaf_weight_exits_2(self, tmp_path, capsys, weight):
+        matrix = tmp_path / "m.csv"
+        pio.save_matrix(np.full((4, 1), 0.25), matrix)
+        args = ["search", str(matrix), "--q-penalty", f"leaves:{weight}", "--k", "2"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
 
 class TestGenCommand:
     def test_q1(self, tmp_path):
@@ -149,6 +160,15 @@ class TestGenCommand:
                      "--out-matrix", str(m)]) == 0
         assert t.read_text().strip() == "0"
         assert pio.load_matrix(m).shape == (1, 1)
+
+    def test_no_columns_exits_2(self, tmp_path, capsys):
+        t, m = tmp_path / "t.tree", tmp_path / "m.csv"
+        assert main(["gen", "--q", "5", "--p", "0", "--out-tree", str(t),
+                     "--out-matrix", str(m)]) == 2
+        assert "p must be >= 1" in capsys.readouterr().err
+        assert not m.exists()
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            random_instance(5, p=0)
 
     def test_seeded_runs_identical(self, tmp_path):
         files = []
@@ -171,7 +191,7 @@ class TestGenCommand:
                     "--out-tree", str(t), "--out-matrix", str(m)]
             assert main(args + (["--feasible"] if feasible else [])) == 0
             rng = np.random.default_rng(11)
-            tree = galton_watson_tree(GaltonWatsonSpec(q=12, seed=11), rng=rng)
+            tree = galton_watson_tree(GaltonWatsonSpec(q=12), rng=rng)
             if feasible:
                 fhat = (ancestry_matrix(tree).astype(float)
                         @ rng.dirichlet(np.ones(12), size=3).T)

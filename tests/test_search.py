@@ -185,6 +185,11 @@ class TestObjective:
         with pytest.raises(ValueError):
             SearchSpec(fhat=np.zeros((3, 1)), penalty="edges")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_leaf_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            SearchSpec(fhat=np.zeros((3, 1)), penalty=f"leaves:{weight}")
+
 
 class TestCompareRelations:
     def test_identical_trees_no_errors(self):

@@ -15,7 +15,7 @@ from ppmproj.search import (
     resolve_penalty,
     resolve_scaling,
 )
-from ppmproj.tree import decode_prufer_arrays, decode_prufer_block
+from ppmproj.tree import decode_prufer, decode_prufer_block
 
 
 def all_codes(q):
@@ -37,9 +37,9 @@ def reference_ranking(spec):
     rows = []
     for index in range(count_trees(q)):
         code = index_to_code(index, q)
-        parent = decode_prufer_arrays(code, q)[0]
-        pen = float(penalty(np.array([parent]))[0])
-        obj, cost, m_cols, f_cols = _evaluate_tree(code, q, fcols, jfn, pen)
+        tree = decode_prufer(code, q)
+        pen = float(penalty(np.array([tree.parent]))[0])
+        obj, cost, m_cols, f_cols = _evaluate_tree(tree, fcols, jfn, pen)
         rows.append((obj, code, cost, np.array(m_cols).T, np.array(f_cols).T))
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
@@ -61,7 +61,7 @@ class TestDecodePruferBlock:
         assert parent.shape == (len(codes), q + 1)
         assert order.shape == (len(codes), q)
         for row, code in zip(parent.tolist(), codes.tolist()):
-            assert row == decode_prufer_arrays(tuple(code), q)[0]
+            assert tuple(row) == decode_prufer(code, q).parent
 
     @pytest.mark.parametrize("q", range(1, 8))
     def test_order_puts_parents_before_children(self, q):
@@ -94,15 +94,15 @@ class TestSweepBlock:
         q = self.Q
         codes = all_codes(q)
         parent, order = decode_prufer_block(codes, q)
-        scalar_trees = [decode_prufer_arrays(tuple(c), q) for c in codes.tolist()]
+        scalar_trees = [decode_prufer(c, q) for c in codes.tolist()]
         fhat = self.columns(kind, np.random.default_rng(7))
         for s in range(fhat.shape[1]):
             col = [0.0] + fhat[:, s].tolist()
             cost2, uncertified = _sweep_block(parent, order, np.array(col))
             assert cost2.shape == uncertified.shape == (len(codes),)
             assert not uncertified.any()
-            for got, (p, ch, o) in zip(cost2.tolist(), scalar_trees):
-                want = _sweep(q, p, ch, o, col)[4]
+            for got, tree in zip(cost2.tolist(), scalar_trees):
+                want = _sweep(tree, col)[4]
                 assert abs(got - want) <= 1e-12 * max(1.0, want)
 
     def test_non_finite_cost_is_uncertified(self):
@@ -137,7 +137,7 @@ class TestScreen:
         spec = SearchSpec(fhat=np.random.default_rng(3).standard_normal((q, 2)), k=3)
         ranking = reference_ranking(spec)
         # The best tree gets a NaN cost, the worst an uncertified flag.
-        best, worst = (decode_prufer_arrays(ranking[i][1], q)[0] for i in (0, -1))
+        best, worst = (decode_prufer(ranking[i][1], q).parent for i in (0, -1))
         sweep_block = search_mod._sweep_block
 
         def spoiled(parent, order, f):
@@ -149,9 +149,9 @@ class TestScreen:
         evaluate = search_mod._evaluate_tree
         rescored = []
 
-        def recording(code, *args):
-            rescored.append(code)
-            return evaluate(code, *args)
+        def recording(tree, *args):
+            rescored.append(tree.parent)
+            return evaluate(tree, *args)
 
         monkeypatch.setattr(search_mod, "_sweep_block", spoiled)
         monkeypatch.setattr(search_mod, "_evaluate_tree", recording)
@@ -159,7 +159,7 @@ class TestScreen:
             monkeypatch.setattr(search_mod, "_BLOCK", block)
             rescored.clear()
             assert_ranking_equals(search_all(spec), ranking[:spec.k])
-            assert ranking[-1][1] in rescored
+            assert worst in rescored
 
     def test_screen_rescores_few_trees(self):
         rng = np.random.default_rng(5)

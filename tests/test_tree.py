@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ppmproj import (
+    GaltonWatsonSpec,
     RootedTree,
     TreeInputError,
     ancestor_sums,
@@ -14,11 +15,40 @@ from ppmproj import (
     count_trees,
     decode_prufer,
     encode_prufer,
+    galton_watson_tree,
 )
+from ppmproj.tree import _tree_from_parent
 
 
 def chain(q):
     return RootedTree.from_parent_array([0] + list(range(1, q)))
+
+
+def reference_encode(tree):
+    """Textbook O(q^2) Prüfer encode: strip the smallest leaf, emit its
+    neighbour, q-2 times."""
+    q = tree.q
+    adjacency = {v: set() for v in range(1, q + 1)}
+    for v in range(2, q + 1):
+        adjacency[v].add(tree.parent[v])
+        adjacency[tree.parent[v]].add(v)
+    code = []
+    for _ in range(q - 2):
+        leaf = min(v for v, nbrs in adjacency.items() if len(nbrs) == 1)
+        (neighbour,) = adjacency.pop(leaf)
+        adjacency[neighbour].discard(leaf)
+        code.append(neighbour)
+    return tuple(code)
+
+
+def random_recursive_tree(q, rng):
+    """Each node in a random labeling, node 1 first, hangs from a uniformly
+    chosen earlier node; reaches every labeled tree rooted at 1."""
+    labels = [1] + [int(v) for v in rng.permutation(np.arange(2, q + 1))]
+    parents = [0] * q
+    for i in range(1, q):
+        parents[labels[i] - 1] = labels[int(rng.integers(i))]
+    return RootedTree.from_parent_array(parents)
 
 
 class TestRootedTree:
@@ -58,6 +88,18 @@ class TestRootedTree:
     def test_self_parent(self):
         with pytest.raises(TreeInputError):
             RootedTree.from_parent_array([0, 2])
+
+    def test_unchecked_constructor_equals_checked(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            q = int(rng.integers(1, 60))
+            cmax = int(rng.integers(1, 6))
+            tree = galton_watson_tree(GaltonWatsonSpec(q=q, cmax=cmax), rng=rng)
+            fast = _tree_from_parent(list(tree.parent))
+            checked = RootedTree.from_parent_array(tree.parent[1:])
+            assert fast == checked
+            assert fast.children == checked.children
+            assert fast.bfs_order() == checked.bfs_order()
 
     def test_text_round_trip(self):
         t = RootedTree.from_text("0 1 1 2")
@@ -101,6 +143,22 @@ class TestPrufer:
     def test_round_trip_exhaustive_q6(self):
         for code in itertools.product(range(1, 7), repeat=4):
             assert encode_prufer(decode_prufer(code, 6)) == code
+
+    def test_round_trip_exhaustive_q7(self):
+        for code in itertools.product(range(1, 8), repeat=5):
+            assert encode_prufer(decode_prufer(code, 7)) == code
+
+    def test_encode_matches_reference_encode_exhaustive(self):
+        for q in range(1, 8):
+            for code in itertools.product(range(1, q + 1), repeat=max(q - 2, 0)):
+                tree = decode_prufer(code, q)
+                assert encode_prufer(tree) == reference_encode(tree)
+
+    def test_encode_matches_reference_encode_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            tree = random_recursive_tree(int(rng.integers(1, 41)), rng)
+            assert encode_prufer(tree) == reference_encode(tree)
 
     def test_round_trip_random_q16(self):
         rng = np.random.default_rng(0)
