@@ -162,6 +162,7 @@ def report_payload(report, include_solutions=False):
         ranked.append(item)
     return {
         "trees_evaluated": report.trees_evaluated,
+        "trees_swept": report.trees_swept,
         "trees_rescored": report.trees_rescored,
         "elapsed_sec": report.elapsed,
         "ranked": ranked,

@@ -7,17 +7,26 @@ keep a local top-k; the reducer merges by (objective, code) so the output
 is identical for any worker count.
 
 Each worker walks its range in blocks of ``_BLOCK`` trees.  A block is
-decoded in lockstep by :func:`ppmproj.tree.decode_prufer_block`, swept one
-column at a time for all its trees at once by ``projection._sweep_block``,
-and scored by the penalty :func:`objective` uses, once per tree; no
-per-tree numpy array is built, and a :class:`RootedTree` only for a custom
-penalty callable.  The block's costs serve only as a screen: a tree whose
-objective, widened by a relative ``_SCREEN_SLACK``, cannot reach the top k
-is dropped, and the few that can, with any tree the block sweep cannot vouch
-for, are scored again in index order by ``projection._sweep`` (the sweep
-behind ``project``) on a :class:`RootedTree` built from the block's parent
-row.  Every reported number therefore comes from the scalar core, whatever
-the block size.
+decoded in lockstep by :func:`ppmproj.tree.decode_prufer_block` and scored
+by the penalty :func:`objective` uses, once per tree; no per-tree numpy
+array is built, and a :class:`RootedTree` only for a custom penalty
+callable.  Then four stages narrow the block down:
+
+* bound: ``projection._lower_bound_block`` bounds every tree's cost from
+  below with one scatter per column and no segment loop;
+* abandon: only the trees whose bound can reach the top k go to
+  ``projection._sweep_block``, one column at a time, and a tree leaves as
+  soon as its swept columns plus the bound on the rest cannot reach it;
+* screen: the costs of the trees swept through every column bound their
+  objectives from both sides, and those that cannot reach the top k are
+  dropped;
+* re-score: the few left, with any tree the block sweep cannot vouch for,
+  are scored again in index order by ``projection._sweep`` (the sweep
+  behind ``project``) on a :class:`RootedTree` built from the block's
+  parent row.
+
+Every bound is widened by a relative ``_SCREEN_SLACK``, and every reported
+number comes from the scalar core, whatever the block size.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import _sweep, _sweep_block
+from .projection import _lower_bound_block, _sweep, _sweep_block
 from .tree import RootedTree, _tree_from_parent, count_trees, decode_prufer_block
 
 SEARCH_Q_LIMIT = 11
@@ -86,7 +95,10 @@ def resolve_penalty(spec):
     if not (isinstance(spec, str) and spec.startswith("leaves:")):
         raise ValueError(
             f"unknown penalty {spec!r}; use 'zero', 'leaves:<weight>' or a callable")
-    weight = float(spec.split(":", 1)[1])
+    try:
+        weight = float(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"penalty weight must be a number, got {spec!r}") from None
     if not math.isfinite(weight):
         raise ValueError(f"penalty weight must be finite, got {spec!r}")
     return lambda parent: weight * _leaf_counts(parent)
@@ -145,11 +157,14 @@ class RankedTree:
 
 @dataclass
 class SearchReport:
-    """The best k trees; ``trees_rescored`` of the ``trees_evaluated`` trees
-    passed the block screen and were scored again by the scalar sweep."""
+    """The best k trees; ``trees_swept`` of the ``trees_evaluated`` trees
+    passed the bound and reached the block sweep for at least one column,
+    and ``trees_rescored`` passed the block screen and were scored again by
+    the scalar sweep.  Both counts depend on the worker count."""
 
     ranked: list
     trees_evaluated: int
+    trees_swept: int
     trees_rescored: int
     elapsed: float
 
@@ -234,18 +249,68 @@ def _init_worker(fhat_list, q, k, scaling, penalty):
     _WORKER_STATE["penalty"] = resolve_penalty(penalty)
 
 
-def _scan_range(bounds):
-    """Score [start, stop); return that range's top-k candidate rows and
-    the number of trees re-scored.
+def _lower_objective(cost, pen, jfn_block):
+    """Objectives of costs widened downwards by the relative screen slack."""
+    return jfn_block(np.maximum(0.0, cost - _SCREEN_SLACK * np.maximum(1.0, cost))) + pen
 
-    Each block of ``_BLOCK`` trees is decoded and swept in lockstep, which
-    bounds every tree's objective from both sides.  Only the trees whose
-    lower bound reaches the k-th best objective so far (or the block's k-th
-    upper bound, if smaller), and the trees the block sweep cannot vouch
-    for, go through :func:`_evaluate_tree`, in index order; every reported
-    number comes from there.  The bounds widen the cost by a relative
-    ``_SCREEN_SLACK`` and hold for any nondecreasing scaling and any
-    penalty, since the penalty is computed once per tree and reused.
+
+def _kth_upper(cost, pen, jfn_block, k, bar):
+    """``bar``, lowered to the k-th smallest upper objective of ``cost``."""
+    if cost.size < k:
+        return bar
+    upper = jfn_block(cost + _SCREEN_SLACK * np.maximum(1.0, cost)) + pen
+    return min(bar, np.partition(upper, k - 1)[k - 1])
+
+
+def _sweep_rows(rows, parent, order, fblock, tail, pens, bar, jfn_block):
+    """Sweep ``rows`` of a block one column at a time, abandoning early.
+
+    ``tail[:, s]`` is the bound on columns s.. of each row.  After column s
+    a row's cost is its swept columns plus the bound on the rest, and a row
+    whose lower objective then exceeds ``bar`` is dropped.  Returns the
+    rows swept through every column, their squared costs, and the rows the
+    block sweep could not vouch for, which leave the sweep at once.
+    """
+    swept = np.zeros(len(rows))
+    flagged = []
+    for s, f in enumerate(fblock):
+        if not rows.size:
+            break
+        c2, bad = _sweep_block(parent[rows], order[rows], f)
+        bad |= ~np.isfinite(c2)
+        if bad.any():
+            flagged.append(rows[bad])
+            rows, swept, c2 = rows[~bad], swept[~bad], c2[~bad]
+        swept += c2
+        alive = _lower_objective(np.sqrt(swept + tail[rows, s + 1]), pens[rows],
+                                 jfn_block) <= bar
+        rows, swept = rows[alive], swept[alive]
+    return rows, swept, flagged
+
+
+def _scan_range(bounds):
+    """Score [start, stop); return that range's top-k candidate rows, the
+    number of trees that reached the block sweep and the number re-scored.
+
+    Each block of ``_BLOCK`` trees goes through five steps.  Every bound
+    widens a cost by a relative ``_SCREEN_SLACK`` and holds for any
+    nondecreasing scaling and any penalty, since the penalty is computed
+    once per tree and reused.  The bar is the k-th best objective so far.
+
+    1. Bound: ``projection._lower_bound_block`` bounds each tree's cost on
+       every column from below, and the penalty is computed for every tree.
+    2. The k trees of lowest bound are swept by ``projection._sweep_block``;
+       their upper objectives tighten the bar.
+    3. Only the trees whose lower objective from the bound reaches the bar
+       are swept.
+    4. They are swept one column at a time: each swept column's cost
+       replaces its bound, and a tree whose lower objective then exceeds
+       the bar is abandoned.
+    5. The trees swept through every column are screened from both sides:
+       those whose lower objective reaches the bar (or the k-th upper
+       objective among them, if smaller), and every tree the block sweep
+       could not vouch for, are re-scored by :func:`_evaluate_tree` in
+       index order.  Every reported number comes from there.
     """
     start, stop = bounds
     q = _WORKER_STATE["q"]
@@ -257,29 +322,37 @@ def _scan_range(bounds):
     fblock = np.array(fcols)
     top = []
     worst = None
+    swept_count = 0
     rescored = 0
     for lo in range(start, stop, _BLOCK):
         codes = _code_block(lo, min(lo + _BLOCK, stop), q)
-        parent, order = decode_prufer_block(codes, q)
-        cost2 = np.zeros(len(codes))
-        uncertified = np.zeros(len(codes), dtype=bool)
-        for f in fblock:
-            c2, bad = _sweep_block(parent, order, f)
-            cost2 += c2
-            uncertified |= bad
+        parent, order, depth = decode_prufer_block(codes, q)
         pens = penalty(parent)
-        certified = ~uncertified & np.isfinite(cost2)
-        cost = np.sqrt(cost2[certified])
-        pen = pens[certified]
-        slack = _SCREEN_SLACK * np.maximum(1.0, cost)
-        lower = jfn_block(np.maximum(0.0, cost - slack)) + pen
-        upper = jfn_block(cost + slack) + pen
+        bound = _lower_bound_block(parent, depth, fblock)
+        tail = np.zeros((len(codes), len(fblock) + 1))
+        tail[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
+        lower = _lower_objective(np.sqrt(tail[:, 0]), pens, jfn_block)
         bar = top[-1][0] if len(top) >= k else math.inf
-        if upper.size >= k:
-            bar = min(bar, np.partition(upper, k - 1)[k - 1])
-        keep = ~certified
-        keep[certified] = lower <= bar
-        kept = np.flatnonzero(keep).tolist()
+
+        first = (np.argpartition(lower, k - 1)[:k] if len(lower) > k
+                 else np.arange(len(lower)))
+        done, cost2, flagged = _sweep_rows(first, parent, order, fblock, tail, pens,
+                                           bar, jfn_block)
+        bar = _kth_upper(np.sqrt(cost2), pens[done], jfn_block, k, bar)
+        candidate = lower <= bar
+        candidate[first] = False
+        rest = np.flatnonzero(candidate)
+        more, more_cost2, more_flagged = _sweep_rows(rest, parent, order, fblock, tail,
+                                                     pens, bar, jfn_block)
+        swept_count += len(first) + len(rest)
+
+        done = np.concatenate([done, more])
+        cost = np.sqrt(np.concatenate([cost2, more_cost2]))
+        pen = pens[done]
+        bar = _kth_upper(cost, pen, jfn_block, k, bar)
+        kept = np.sort(np.concatenate(
+            [done[_lower_objective(cost, pen, jfn_block) <= bar]] + flagged + more_flagged
+        )).tolist()
         rescored += len(kept)
         pens = pens.tolist()
         for i in kept:
@@ -293,7 +366,7 @@ def _scan_range(bounds):
             if len(top) > k:
                 top.pop()
             worst = (top[-1][0], top[-1][1])
-    return top, rescored
+    return top, swept_count, rescored
 
 
 def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> SearchReport:
@@ -324,7 +397,7 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
         with ctx.Pool(processes=len(ranges), initializer=_init_worker,
                       initargs=init_args) as pool:
             partials = pool.map(_scan_range, ranges)
-    merged = sorted(row for top, _ in partials for row in top)[:spec.k]
+    merged = sorted(row for top, _, _ in partials for row in top)[:spec.k]
     elapsed = time.perf_counter() - start_time
 
     ranked = [
@@ -335,7 +408,8 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
         for obj, code, cost, m_cols, f_cols in merged
     ]
     return SearchReport(ranked=ranked, trees_evaluated=total,
-                        trees_rescored=sum(n for _, n in partials), elapsed=elapsed)
+                        trees_swept=sum(n for _, n, _ in partials),
+                        trees_rescored=sum(n for _, _, n in partials), elapsed=elapsed)
 
 
 # ---------------------------------------------------------------------------

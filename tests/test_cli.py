@@ -152,6 +152,14 @@ class TestSearchCommand:
         assert "finite" in captured.err
         assert captured.out == ""
 
+    def test_non_numeric_leaf_weight_exits_2(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        pio.save_matrix(np.full((4, 1), 0.25), matrix)
+        assert main(["search", str(matrix), "--q-penalty", "leaves:abc"]) == 2
+        captured = capsys.readouterr()
+        assert "penalty weight must be a number, got 'leaves:abc'" in captured.err
+        assert captured.out == ""
+
 
 class TestGenCommand:
     def test_q1(self, tmp_path):
