@@ -188,21 +188,23 @@ class TestScreen:
     @pytest.mark.parametrize("q", range(1, 7))
     @pytest.mark.parametrize("scaling", ["identity", "log1p", "square"])
     @pytest.mark.parametrize("penalty", ["zero", "leaves:0.3", custom_penalty])
-    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e6])
-    def test_ranking_equals_reference(self, q, scaling, penalty, scale, monkeypatch):
+    def test_ranking_equals_reference(self, q, scaling, penalty, monkeypatch):
         rng = np.random.default_rng(q)
         # Feasible data puts many trees at cost 0, so the code tie-break counts.
-        fhat = scale * (random_instance(q, p=2, rng=rng, feasible=True)[1] if q % 2
-                        else rng.standard_normal((q, 2)))
-        spec = SearchSpec(fhat=fhat, k=self.K, scaling=scaling, penalty=penalty)
-        reference = reference_ranking(spec)[:self.K]
-        for block in (1, 7, 8192):
-            monkeypatch.setattr(search_mod, "_BLOCK", block)
-            for workers in (1, 2, 8):
-                report = search_all(spec, workers=workers)
-                assert_ranking_equals(report, reference)
-                assert len(reference) <= report.trees_rescored <= count_trees(q)
-                assert report.trees_rescored <= report.trees_swept <= count_trees(q)
+        fhat = (random_instance(q, p=2, rng=rng, feasible=True)[1] if q % 2
+                else rng.standard_normal((q, 2)))
+        # The bound and the screen widen costs by a relative slack, which
+        # must hold at extreme scales too.
+        for scale in (1.0, 1e-8, 1e6):
+            spec = SearchSpec(fhat=scale * fhat, k=self.K, scaling=scaling, penalty=penalty)
+            reference = reference_ranking(spec)[:self.K]
+            for block in (1, 7, 8192):
+                monkeypatch.setattr(search_mod, "_BLOCK", block)
+                for workers in (1, 2, 8):
+                    report = search_all(spec, workers=workers)
+                    assert_ranking_equals(report, reference)
+                    assert len(reference) <= report.trees_rescored <= count_trees(q)
+                    assert report.trees_rescored <= report.trees_swept <= count_trees(q)
 
     def test_uncertified_rows_are_rescored(self, monkeypatch):
         q = 6
