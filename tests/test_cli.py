@@ -113,6 +113,7 @@ class TestSearchCommand:
         assert main(["search", str(tmp_path / "m.csv"), "-o", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["trees_evaluated"] == 125
+        assert payload["trees_rescored"] <= payload["trees_swept"] <= 125
         assert payload["ranked"][0]["cost"] <= 1e-9
 
     def test_k_entries(self, tmp_path):
