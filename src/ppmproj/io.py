@@ -164,6 +164,7 @@ def report_payload(report, include_solutions=False):
         "trees_evaluated": report.trees_evaluated,
         "trees_swept": report.trees_swept,
         "trees_rescored": report.trees_rescored,
+        "nodes_bounded": report.nodes_bounded,
         "elapsed_sec": report.elapsed,
         "ranked": ranked,
     }

@@ -1,32 +1,29 @@
 """Exhaustive search over all labeled rooted trees on q nodes.
 
-Trees are enumerated through their Prüfer codes: index i in
-[0, q^(q-2)) is written in base q, digits shifted to labels 1..q, decoded,
-and rooted at node 1.  Workers scan disjoint contiguous index ranges and
-keep a local top-k; the reducer merges by (objective, code) so the output
-is identical for any worker count.
+Every tree is rooted at node 1 and given by its parents.  The search walks
+them by branch and bound (Land & Doig): it assigns parents to nodes 2..q in
+label order, each partial assignment a forest, and drops a forest as soon
+as a lower bound on the objective of every tree completing it exceeds the
+bar, the k-th best objective known so far.  Ties between trees break by
+their Prüfer code, so the output is identical for any worker count.
 
-Each worker walks its range in blocks of ``_BLOCK`` trees.  A block is
-decoded in lockstep by :func:`ppmproj.tree.decode_prufer_block` and scored
-by the penalty :func:`objective` uses, once per tree; no per-tree numpy
-array is built, and a :class:`RootedTree` only for a custom penalty
-callable.  Then four stages narrow the block down:
+* bound: :func:`_child_bounds` carries ``projection._lower_bound_block``
+  over to forests, per component, and updates it per child in O(1) per
+  column; a partial tree's penalty is bounded by :func:`_penalty_floor`;
+* first bar: before the walk, a beam of the 4k lowest-bound rows per level
+  reaches 4k trees, which are scored exactly;
+* walk: depth first, in steps of at most ``_BLOCK`` candidate rows, lowest
+  bound first;
+* leaves: complete trees go through the block screen: the bound and the
+  penalty, ``projection._sweep_block`` one column at a time with early
+  abandonment, then a two-sided screen; the few left, with any tree the
+  block sweep cannot vouch for, are re-scored by ``projection._sweep`` (the
+  sweep behind ``project``) on a :class:`RootedTree`.
 
-* bound: ``projection._lower_bound_block`` bounds every tree's cost from
-  below with one scatter per column and no segment loop;
-* abandon: only the trees whose bound can reach the top k go to
-  ``projection._sweep_block``, one column at a time, and a tree leaves as
-  soon as its swept columns plus the bound on the rest cannot reach it;
-* screen: the costs of the trees swept through every column bound their
-  objectives from both sides, and those that cannot reach the top k are
-  dropped;
-* re-score: the few left, with any tree the block sweep cannot vouch for,
-  are scored again in index order by ``projection._sweep`` (the sweep
-  behind ``project``) on a :class:`RootedTree` built from the block's
-  parent row.
-
-Every bound is widened by a relative ``_SCREEN_SLACK``, and every reported
-number comes from the scalar core, whatever the block size.
+Workers: the caller expands whole levels until 4 rows per worker are open,
+deals them out round-robin in (bound, parent row) order and walks each
+share in a forked child.  Every bound is widened by a relative
+``_SCREEN_SLACK``, and every reported number comes from the scalar core.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import _lower_bound_block, _sweep, _sweep_block
-from .tree import RootedTree, _tree_from_parent, count_trees, decode_prufer_block
+from .projection import _sweep, _sweep_block
+from .tree import RootedTree, _tree_from_parent, count_trees, encode_prufer
 
 SEARCH_Q_LIMIT = 11
 
@@ -85,8 +82,8 @@ def _scaling_block(jfn):
 
 def resolve_penalty(spec):
     """Penalty as a callable ``penalty(parent) -> values`` on a (B, q+1)
-    block of parent rows laid out as :func:`ppmproj.tree.decode_prufer_block`
-    returns them; it returns one float per row."""
+    block of parent rows (column 0 unused, 0 at the root); it returns one
+    float per row."""
     if callable(spec):
         return lambda parent: np.array(
             [spec(_tree_from_parent(row)) for row in parent.tolist()], dtype=float)
@@ -157,15 +154,19 @@ class RankedTree:
 
 @dataclass
 class SearchReport:
-    """The best k trees; ``trees_swept`` of the ``trees_evaluated`` trees
-    passed the bound and reached the block sweep for at least one column,
-    and ``trees_rescored`` passed the block screen and were scored again by
-    the scalar sweep.  Both counts depend on the worker count."""
+    """The best k of the ``trees_evaluated`` trees, all q^(q-2) of them:
+    each was scored or dropped by a valid bound.  ``nodes_bounded`` counts
+    the partial and complete trees whose bound was computed, the beam's
+    included; ``trees_swept`` the complete trees that passed the bound and
+    reached the block sweep; ``trees_rescored`` those that passed the block
+    screen and were scored again by the scalar sweep.  The three counts
+    depend on the worker count; the ranking does not."""
 
     ranked: list
     trees_evaluated: int
     trees_swept: int
     trees_rescored: int
+    nodes_bounded: int
     elapsed: float
 
 
@@ -175,47 +176,10 @@ def objective(cost: float, tree: RootedTree, spec: SearchSpec) -> float:
     return resolve_scaling(spec.scaling)(cost) + float(penalty(np.array([tree.parent]))[0])
 
 
-def index_to_code(index: int, q: int) -> tuple:
-    """Prüfer code of enumeration index ``index``, big-endian base-q digits.
-
-    Index order therefore equals lexicographic code order.
-    """
-    digits = [0] * (q - 2)
-    for pos in range(q - 3, -1, -1):
-        index, d = divmod(index, q)
-        digits[pos] = d + 1
-    return tuple(digits)
-
-
-def _code_block(start: int, stop: int, q: int):
-    """Prüfer codes of the indices [start, stop) as a (stop - start, q-2)
-    array: the digits of ``start`` plus each offset, carried in base q, so
-    that an index beyond the int64 range never appears."""
-    width = max(q - 2, 0)
-    codes = np.empty((stop - start, width), dtype=np.int64)
-    carry = np.arange(stop - start, dtype=np.int64)
-    for pos, digit in zip(range(width - 1, -1, -1), reversed(index_to_code(start, q))):
-        carry, codes[:, pos] = np.divmod(carry + (digit - 1), q)
-    return codes + 1
-
-
-def partition_ranges(total: int, parts: int):
-    """Split [0, total) into ``parts`` contiguous ranges covering it exactly."""
-    parts = max(1, min(parts, total)) if total else 1
-    base, extra = divmod(total, parts)
-    ranges = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
 # ---------------------------------------------------------------------------
-# Block screen and per-tree evaluation (hot path)
+# Branch-and-bound walk and per-tree evaluation (hot path)
 
-# Trees screened per block; larger blocks amortise numpy's per-call cost.
+# Candidate rows per step of the walk; larger steps amortise numpy's per-call cost.
 _BLOCK = 8192
 # Relative error allowed between a screened cost and the scalar core's.
 _SCREEN_SLACK = 1e-9
@@ -233,20 +197,6 @@ def _evaluate_tree(tree, fcols, jfn, penalty):
         f_cols.append(fstar[1:])
     cost = math.sqrt(cost2)
     return jfn(cost) + penalty, cost, m_cols, f_cols
-
-
-_WORKER_STATE = {}
-
-
-def _init_worker(fhat_list, q, k, scaling, penalty):
-    fcols = [[0.0] + [row[s] for row in fhat_list]
-             for s in range(len(fhat_list[0]))]
-    _WORKER_STATE["q"] = q
-    _WORKER_STATE["k"] = k
-    _WORKER_STATE["fcols"] = fcols
-    _WORKER_STATE["jfn"] = jfn = resolve_scaling(scaling)
-    _WORKER_STATE["jfn_block"] = _scaling_block(jfn)
-    _WORKER_STATE["penalty"] = resolve_penalty(penalty)
 
 
 def _lower_objective(cost, pen, jfn_block):
@@ -288,85 +238,331 @@ def _sweep_rows(rows, parent, order, fblock, tail, pens, bar, jfn_block):
     return rows, swept, flagged
 
 
-def _scan_range(bounds):
-    """Score [start, stop); return that range's top-k candidate rows, the
-    number of trees that reached the block sweep and the number re-scored.
+def _penalty_floor(spec, q):
+    """A value no tree on q nodes has a smaller penalty than, for the penalty
+    ``spec``: what the lower objective of a partial tree adds."""
+    if callable(spec):
+        return -math.inf
+    if spec == "zero":
+        return 0.0
+    weight = float(spec.split(":", 1)[1])
+    # Every tree has between 1 and max(1, q - 1) leaves.
+    return weight if weight >= 0 else weight * max(1, q - 1)
 
-    Each block of ``_BLOCK`` trees goes through five steps.  Every bound
-    widens a cost by a relative ``_SCREEN_SLACK`` and holds for any
-    nondecreasing scaling and any penalty, since the penalty is computed
-    once per tree and reused.  The bar is the k-th best objective so far.
 
-    1. Bound: ``projection._lower_bound_block`` bounds each tree's cost on
-       every column from below, and the penalty is computed for every tree.
-    2. The k trees of lowest bound are swept by ``projection._sweep_block``;
-       their upper objectives tighten the bar.
-    3. Only the trees whose lower objective from the bound reaches the bar
-       are swept.
-    4. They are swept one column at a time: each swept column's cost
-       replaces its bound, and a tree whose lower objective then exceeds
-       the bar is abandoned.
-    5. The trees swept through every column are screened from both sides:
-       those whose lower objective reaches the bar (or the k-th upper
-       objective among them, if smaller), and every tree the block sweep
-       could not vouch for, are re-scored by :func:`_evaluate_tree` in
-       index order.  Every reported number comes from there.
+@dataclass
+class _Open:
+    """Open rows of the walk, all at one level: forests in which nodes
+    2..u-1 have parents.  Per node (column 0 unused) the parent (0 where
+    none is assigned), the root of its component and its depth below that
+    root; per row, the bound on each column's squared cost."""
+
+    parent: np.ndarray
+    root: np.ndarray
+    depth: np.ndarray
+    bound: np.ndarray
+
+    def __len__(self):
+        return len(self.bound)
+
+    def take(self, index):
+        return _Open(self.parent[index], self.root[index], self.depth[index],
+                     self.bound[index])
+
+
+def _child_bounds(rows, u, above, base):
+    """Every child of the open ``rows`` at node u, and its bound.
+
+    A child hangs u, still a component root, below a node a outside u's
+    component.  ``above`` (q+1, p) holds max(y, 0) of every column, with 1
+    at the root, and ``base`` (p,) the part of the bound no tree changes:
+    (y_1 - 1)^2 plus min(y_v, 0)^2 over v >= 2.  Returns ``(src, a,
+    bound)``: each child's row in ``rows``, its parent of u, and a (C, p)
+    bound on each column's squared cost.
+
+    This is ``projection._lower_bound_block`` on a forest.  A node's group
+    holds it and its assigned children, with the term
+    (sum of above over C(v) - above_v)+^2 / (|C(v)| + 1), or / |C(1)| at the
+    root; F_v >= sum F_c over every child implies it over the assigned
+    ones, so the term holds for every completion.  Groups from different
+    components are disjoint, so each component adds the larger of its
+    terms' sums at even and at odd depth below its root.  The sums are
+    rebuilt for every row, in O(q) per column; a child then changes one
+    term and joins two components, in O(1) per column.
     """
-    start, stop = bounds
-    q = _WORKER_STATE["q"]
-    k = _WORKER_STATE["k"]
-    fcols = _WORKER_STATE["fcols"]
-    jfn = _WORKER_STATE["jfn"]
-    jfn_block = _WORKER_STATE["jfn_block"]
-    penalty = _WORKER_STATE["penalty"]
-    fblock = np.array(fcols)
-    top = []
-    worst = None
-    swept_count = 0
-    rescored = 0
-    for lo in range(start, stop, _BLOCK):
-        codes = _code_block(lo, min(lo + _BLOCK, stop), q)
-        parent, order, depth = decode_prufer_block(codes, q)
-        pens = penalty(parent)
-        bound = _lower_bound_block(parent, depth, fblock)
-        tail = np.zeros((len(codes), len(fblock) + 1))
-        tail[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
-        lower = _lower_objective(np.sqrt(tail[:, 0]), pens, jfn_block)
-        bar = top[-1][0] if len(top) >= k else math.inf
+    b, width = rows.parent.shape
+    p = len(base)
+    cols = np.arange(p)
+    lift = width * np.arange(b)[:, None]
+    # Nodes without a parent scatter into the unused column 0.
+    slot = rows.parent + lift
+    kids = np.bincount((slot[..., None] * p + cols).ravel(),
+                       weights=np.broadcast_to(above, (b, width, p)).ravel(),
+                       minlength=b * width * p).reshape(b, width, p)
+    size = np.bincount(slot.ravel(), minlength=b * width).reshape(b, width)
+    size[:, 2:] += 1
+    gap = np.maximum(kids - above, 0.0)
+    term = gap * gap / np.maximum(size, 1)[..., None]
+    term[:, 0] = 0.0
+    group = rows.root + lift + np.where(rows.depth & 1, b * width, 0)
+    even, odd = np.bincount((group[..., None] * p + cols).ravel(), weights=term.ravel(),
+                            minlength=2 * b * width * p).reshape(2, b, width, p)
+    total = base + np.maximum(even, odd).sum(axis=1)
 
+    src, a = np.nonzero(rows.root[:, 1:] != u)
+    a += 1
+    # Flat positions of each child's a, of the root r of a's component and of u.
+    at = src * width
+    pa = at + a
+    pr = at + rows.root.ravel()[pa]
+    pu = at + u
+    even, odd = even.reshape(-1, p), odd.reshape(-1, p)
+    joined_even, joined_odd, moved, hung_odd = even[pr], odd[pr], even[pu], odd[pu]
+    gap = np.maximum(kids.reshape(-1, p)[pa] + (above[u] - above[a]), 0.0)
+    # u's component hangs at depth(a) + 1, so its odd depths take a's parity.
+    grown = (gap * gap / (size.ravel()[pa] + 1)[:, None] - term.reshape(-1, p)[pa]
+             + hung_odd)
+    flip = (rows.depth.ravel()[pa] & 1).astype(bool)[:, None]
+    even_sum = joined_even + np.where(flip, moved, grown)
+    odd_sum = joined_odd + np.where(flip, grown, moved)
+    bound = (total[src] + np.maximum(even_sum, odd_sum)
+             - np.maximum(joined_even, joined_odd) - np.maximum(moved, hung_odd))
+    return src, a, np.maximum(bound, 0.0)
+
+
+def _grow(rows, src, a, u, bound):
+    """The children ``(src, a)`` of ``rows`` at node u as open rows."""
+    parent, root, depth = rows.parent[src], rows.root[src], rows.depth[src]
+    at = np.arange(len(src))
+    parent[at, u] = a
+    moved = root == u
+    depth += moved * (depth[at, a] + 1)[:, None]
+    root = np.where(moved, root[at, a][:, None], root)
+    return _Open(parent, root, depth, bound)
+
+
+def _deal(rows, workers):
+    """At most ``workers`` shares of the open rows, dealt round-robin in
+    (bound, parent row) order."""
+    keys = [rows.parent[:, v] for v in range(rows.parent.shape[1] - 1, 0, -1)]
+    order = np.lexsort(keys + [rows.bound.sum(axis=1)])
+    parts = max(1, min(workers, len(order)))
+    return [rows.take(order[i::parts]) for i in range(parts)]
+
+
+class _Walk:
+    """One search's data, objective and bar, with the running top k and the
+    counts of the share being walked."""
+
+    def __init__(self, spec):
+        self.q = q = spec.q
+        self.k = spec.k
+        self.fcols = [[0.0] + spec.fhat[:, s].tolist() for s in range(spec.fhat.shape[1])]
+        self.fblock = np.array(self.fcols)
+        self.jfn = resolve_scaling(spec.scaling)
+        self.jfn_block = _scaling_block(self.jfn)
+        self.penalty = resolve_penalty(spec.penalty)
+        self.floor = _penalty_floor(spec.penalty, q)
+        self.above = np.maximum(self.fblock.T, 0.0)
+        self.above[1] = 1.0
+        self.fit = self.above.sum(axis=1)
+        below = np.minimum(spec.fhat[1:], 0.0)
+        self.base = (spec.fhat[0] - 1.0) ** 2 + (below * below).sum(axis=0)
+        self.dtype = np.int8 if q < 127 else np.int16
+        self.bar = math.inf
+        self.top = []
+        self.swept = self.rescored = self.bounded = 0
+
+    def _lower(self, bound, pen):
+        return _lower_objective(np.sqrt(bound.sum(axis=1)), pen, self.jfn_block)
+
+    def _expand(self, rows, u):
+        """The children of ``rows`` at node u that can still reach the top k,
+        lowest bound first."""
+        src, a, bound = _child_bounds(rows, u, self.above, self.base)
+        self.bounded += len(src)
+        keep = np.arange(len(src))
+        if self.floor > -math.inf:
+            keep = np.flatnonzero(self._lower(bound, self.floor) <= self.bar)
+        src, a, bound = src[keep], a[keep], bound[keep]
+        # Equal bounds are common high in the walk; among them, parents of
+        # small frequency, the tightest fit, go first.
+        fit = self.fit[rows.parent[src]].sum(axis=1) + self.fit[a]
+        order = np.lexsort((fit, bound.sum(axis=1)))
+        return _grow(rows, src[order], a[order], u, bound[order])
+
+    def _root(self):
+        """The one row with no parent assigned: every node its own component."""
+        nodes = np.arange(self.q + 1, dtype=self.dtype)[None]
+        return _Open(np.zeros_like(nodes), nodes, np.zeros_like(nodes), self.base[None])
+
+    def first_bar(self):
+        """Set the bar to the k-th best exact objective among the trees
+        reached by a beam of the 4k lowest-bound rows per level."""
+        rows = self._root()
+        for u in range(2, self.q + 1):
+            rows = self._expand(rows, u).take(slice(0, 4 * self.k))
+        if len(rows) >= self.k:
+            parent = rows.parent.astype(np.int64)
+            objs = sorted(
+                _evaluate_tree(_tree_from_parent(row), self.fcols, self.jfn, pen)[0]
+                for row, pen in zip(parent.tolist(), self.penalty(parent).tolist()))
+            self.bar = objs[self.k - 1]
+
+    def open_rows(self, workers):
+        """Expand whole levels until 4 rows per worker are open or the trees
+        are complete; return the rows and the node they assign next."""
+        rows, u = self._root(), 2
+        while u <= self.q and len(rows) < 4 * workers:
+            rows, u = self._expand(rows, u), u + 1
+        return rows, u
+
+    def walk(self, rows, u):
+        """Walk the trees below ``rows``, which assign node u next, depth first;
+        return their top k and the counts of the walk."""
+        self.top = []
+        self.swept = self.rescored = self.bounded = 0
+        if u > self.q:
+            for lo in range(0, len(rows), _BLOCK):
+                self._leaves(rows.take(slice(lo, lo + _BLOCK)))
+            return self.top, self.swept, self.rescored, self.bounded
+        step = max(1, _BLOCK // self.q)
+        stack = [[rows, 0, u]]
+        while stack:
+            level = stack[-1]
+            rows, at, u = level
+            chunk = rows.take(slice(at, at + step))
+            level[1] = at + step
+            if self.floor > -math.inf:
+                # Rows are in bound order, so the first that cannot reach
+                # the bar closes its level.
+                live = int(np.count_nonzero(self._lower(chunk.bound, self.floor) <= self.bar))
+                if live < len(chunk):
+                    chunk, level[1] = chunk.take(slice(0, live)), len(rows)
+            if level[1] >= len(rows):
+                stack.pop()
+            if not len(chunk):
+                continue
+            children = self._expand(chunk, u)
+            if u == self.q:
+                self._leaves(children)
+            elif len(children):
+                stack.append([children, 0, u + 1])
+        return self.top, self.swept, self.rescored, self.bounded
+
+    def _leaves(self, rows):
+        """Score complete trees into the running top k, through the block screen.
+
+        Every bound widens a cost by a relative ``_SCREEN_SLACK`` and holds
+        for any nondecreasing scaling and any penalty, since the penalty is
+        computed once per tree and reused.
+
+        1. The trees whose lower objective, from the walk's bound and their
+           penalty, reaches the bar are kept.
+        2. The k of lowest bound are scored exactly; they tighten the bar.
+        3. The others whose lower objective still reaches the bar are swept
+           by ``projection._sweep_block`` one column at a time: each swept
+           column's cost replaces its bound, and a tree whose lower
+           objective then exceeds the bar is abandoned.
+        4. The trees swept through every column are screened from both
+           sides: those whose lower objective reaches the bar (or the k-th
+           upper objective among them, if smaller), and every tree the block
+           sweep could not vouch for, are scored exactly.
+
+        Exact scores come from :func:`_evaluate_tree`, and every reported
+        number comes from there.
+        """
+        k = self.k
+        parent = rows.parent.astype(np.int64)
+        pens = self.penalty(parent)
+        lower = self._lower(rows.bound, pens)
+        live = np.flatnonzero(lower <= self.bar)
+        if not live.size:
+            return
+        parent, pens, lower, bound = parent[live], pens[live], lower[live], rows.bound[live]
         first = (np.argpartition(lower, k - 1)[:k] if len(lower) > k
                  else np.arange(len(lower)))
-        done, cost2, flagged = _sweep_rows(first, parent, order, fblock, tail, pens,
-                                           bar, jfn_block)
-        bar = _kth_upper(np.sqrt(cost2), pens[done], jfn_block, k, bar)
-        candidate = lower <= bar
+        self._rescore(parent, pens, first)
+        candidate = lower <= self.bar
         candidate[first] = False
         rest = np.flatnonzero(candidate)
-        more, more_cost2, more_flagged = _sweep_rows(rest, parent, order, fblock, tail,
-                                                     pens, bar, jfn_block)
-        swept_count += len(first) + len(rest)
+        self.swept += len(first) + len(rest)
+        if not rest.size:
+            return
 
-        done = np.concatenate([done, more])
-        cost = np.sqrt(np.concatenate([cost2, more_cost2]))
+        width = self.q + 1
+        order = np.sort(rows.depth[live, 1:].astype(np.int64) * width
+                        + np.arange(1, width), axis=1) % width
+        tail = np.zeros((len(live), len(self.fblock) + 1))
+        tail[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
+        done, cost2, flagged = _sweep_rows(rest, parent, order, self.fblock, tail, pens,
+                                           self.bar, self.jfn_block)
+        cost = np.sqrt(cost2)
         pen = pens[done]
-        bar = _kth_upper(cost, pen, jfn_block, k, bar)
-        kept = np.sort(np.concatenate(
-            [done[_lower_objective(cost, pen, jfn_block) <= bar]] + flagged + more_flagged
-        )).tolist()
-        rescored += len(kept)
-        pens = pens.tolist()
-        for i in kept:
-            code = tuple(codes[i].tolist())
-            obj, cost_i, m_cols, f_cols = _evaluate_tree(
-                _tree_from_parent(parent[i].tolist()), fcols, jfn, pens[i])
-            key = (obj, code)
-            if worst is not None and key >= worst and len(top) >= k:
+        self.bar = _kth_upper(cost, pen, self.jfn_block, k, self.bar)
+        self._rescore(parent, pens, np.concatenate(
+            [done[_lower_objective(cost, pen, self.jfn_block) <= self.bar]] + flagged))
+
+    def _rescore(self, parent, pens, index):
+        """Score the trees ``parent[index]`` exactly into the running top k."""
+        k = self.k
+        self.rescored += len(index)
+        for i in index.tolist():
+            tree = _tree_from_parent(parent[i].tolist())
+            obj, cost, m_cols, f_cols = _evaluate_tree(tree, self.fcols, self.jfn,
+                                                       float(pens[i]))
+            if len(self.top) >= k and obj > self.top[-1][0]:
                 continue
-            bisect.insort(top, (obj, code, cost_i, m_cols, f_cols))
-            if len(top) > k:
-                top.pop()
-            worst = (top[-1][0], top[-1][1])
-    return top, swept_count, rescored
+            bisect.insort(self.top, (obj, encode_prufer(tree), cost, m_cols, f_cols))
+            del self.top[k:]
+            if len(self.top) >= k:
+                self.bar = min(self.bar, self.top[-1][0])
+
+
+def _walk_share(walk, rows, u, conn):
+    """Body of a forked child: walk one share and send its result, or the
+    exception that stopped it."""
+    try:
+        conn.send((True, walk.walk(rows, u)))
+    except Exception as exc:
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def _fan_out(walk, shares, u):
+    """Walk each share in a forked child of its own; return their results
+    in share order, or raise the first failure among them."""
+    ctx = mp.get_context("fork")
+    children = []
+    try:
+        for rows in shares:
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_walk_share, args=(walk, rows, u, send))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        results = []
+        for i, (child, recv) in enumerate(children):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"search share {i} of {len(shares)} exited with code "
+                    f"{child.exitcode} before sending its result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
 
 
 def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> SearchReport:
@@ -383,21 +579,18 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
         raise ValueError(
             f"q={q} means {q}^{q - 2} = {count_trees(q)} trees; "
             "pass force=True to search anyway")
-    total = count_trees(q)
-    fhat_list = spec.fhat.tolist()
-    init_args = (fhat_list, q, spec.k, spec.scaling, spec.penalty)
 
     start_time = time.perf_counter()
-    ranges = partition_ranges(total, workers)
-    if len(ranges) == 1:
-        _init_worker(*init_args)
-        partials = [_scan_range(r) for r in ranges]
+    walk = _Walk(spec)
+    walk.first_bar()
+    rows, u = walk.open_rows(workers)
+    bounded = walk.bounded
+    shares = _deal(rows, workers)
+    if len(shares) == 1:
+        partials = [walk.walk(shares[0], u)]
     else:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=len(ranges), initializer=_init_worker,
-                      initargs=init_args) as pool:
-            partials = pool.map(_scan_range, ranges)
-    merged = sorted(row for top, _, _ in partials for row in top)[:spec.k]
+        partials = _fan_out(walk, shares, u)
+    merged = sorted(row for top, *_ in partials for row in top)[:spec.k]
     elapsed = time.perf_counter() - start_time
 
     ranked = [
@@ -407,11 +600,11 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
         )
         for obj, code, cost, m_cols, f_cols in merged
     ]
-    return SearchReport(ranked=ranked, trees_evaluated=total,
-                        trees_swept=sum(n for _, n, _ in partials),
-                        trees_rescored=sum(n for _, _, n in partials), elapsed=elapsed)
-
-
+    return SearchReport(ranked=ranked, trees_evaluated=count_trees(q),
+                        trees_swept=sum(part[1] for part in partials),
+                        trees_rescored=sum(part[2] for part in partials),
+                        nodes_bounded=bounded + sum(part[3] for part in partials),
+                        elapsed=elapsed)
 # ---------------------------------------------------------------------------
 # Ancestry-relation comparison
 

@@ -114,6 +114,7 @@ class TestSearchCommand:
         payload = json.loads(out.read_text())
         assert payload["trees_evaluated"] == 125
         assert payload["trees_rescored"] <= payload["trees_swept"] <= 125
+        assert payload["trees_swept"] <= payload["nodes_bounded"]
         assert payload["ranked"][0]["cost"] <= 1e-9
 
     def test_k_entries(self, tmp_path):

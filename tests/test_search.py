@@ -1,5 +1,7 @@
 """Tests for exhaustive tree search, objectives, and relation comparison."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,32 +15,55 @@ from ppmproj import (
     oracle_project,
     search_all,
 )
+from ppmproj import search as search_mod
 from ppmproj.generate import random_instance
-from ppmproj.search import CATEGORIES, index_to_code, partition_ranges
+from ppmproj.search import CATEGORIES, _deal, _Walk
+
+
+def all_codes(q):
+    """Every Prüfer code at q, in lexicographic order."""
+    return list(itertools.product(range(1, q + 1), repeat=q - 2))
 
 
 class TestEnumeration:
-    def test_index_code_bijection_q5(self):
-        seen = set()
-        for idx in range(count_trees(5)):
-            code = index_to_code(idx, 5)
-            assert code not in seen
-            seen.add(code)
-            decode_prufer(code, 5)
-        assert len(seen) == 125
+    def test_walk_reaches_every_tree_once(self, monkeypatch):
+        # A callable penalty has no floor, so no partial tree is dropped and
+        # every complete tree reaches the leaf steps, once.
+        leaves = search_mod._Walk._leaves
+        reached = []
 
-    def test_index_order_is_lexicographic(self):
-        codes = [index_to_code(i, 4) for i in range(count_trees(4))]
-        assert codes == sorted(codes)
+        def recording(walk, rows):
+            reached.extend(map(tuple, rows.parent.tolist()))
+            return leaves(walk, rows)
+
+        monkeypatch.setattr(search_mod._Walk, "_leaves", recording)
+        spec = SearchSpec(fhat=np.random.default_rng(2).standard_normal((5, 2)), k=3,
+                          penalty=lambda tree: 0.0)
+        search_all(spec)
+        assert sorted(reached) == sorted(decode_prufer(code, 5).parent
+                                         for code in all_codes(5))
+
+    def test_ties_break_by_lexicographic_code(self):
+        # With F̂ = 0 every tree projects onto m = e_1 at the same cost.
+        report = search_all(SearchSpec(fhat=np.zeros((5, 2)), k=10))
+        assert len({entry.objective for entry in report.ranked}) == 1
+        assert [entry.code for entry in report.ranked] == all_codes(5)[:10]
 
     def test_partition_exact_cover(self):
-        for total in (1, 7, 100, 16807):
-            for parts in (1, 2, 3, 8, 50):
-                ranges = partition_ranges(total, parts)
-                covered = []
-                for start, stop in ranges:
-                    covered.extend(range(start, stop))
-                assert covered == list(range(total))
+        walk = _Walk(SearchSpec(fhat=np.random.default_rng(3).standard_normal((6, 2))))
+        walk.first_bar()
+        for workers in (1, 2, 3, 8, 50):
+            rows, u = walk.open_rows(workers)
+            assert len(rows) >= 4 * workers or u > 6
+            shares = _deal(rows, workers)
+            assert len(shares) == min(workers, len(rows))
+            assert max(map(len, shares)) - min(map(len, shares)) <= 1
+            covered = sorted(row for share in shares
+                             for row in map(tuple, share.parent.tolist()))
+            assert covered == sorted(map(tuple, rows.parent.tolist()))
+            # Each share stays in bound order, as the walk expects.
+            for share in shares:
+                assert (np.diff(share.bound.sum(axis=1)) >= 0).all()
 
 
 class TestSearchAll:
@@ -158,10 +183,9 @@ class TestObjective:
         report = search_all(spec)
         assert len(report.ranked) == 125
         if callable(penalty):
-            # A serial search scans Prüfer indices in order, so the callable
-            # sees each tree once, in index order, as decode_prufer builds it.
-            assert received == [decode_prufer(index_to_code(i, 5), 5)
-                                for i in range(125)]
+            # The callable sees every tree as decode_prufer builds it; the
+            # beam's trees, scored for the first bar, it sees twice.
+            assert set(received) == {decode_prufer(code, 5) for code in all_codes(5)}
         for entry in report.ranked:
             tree = decode_prufer(entry.code, 5)
             assert entry.objective == objective(entry.cost, tree, spec)

@@ -1,8 +1,11 @@
-"""Tests for the lockstep block search: the block decoder, the block sweep
-kernel, the lower bound in front of it, the screen in front of the scalar
-core, and the worker pool size."""
+"""Tests for the branch-and-bound search: the block decoder and block sweep
+kernel, the lower bound on complete and partial trees, the penalty floor,
+the screen in front of the scalar core, and the forked children."""
 
+import itertools
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -13,21 +16,22 @@ from ppmproj import SearchSpec, count_trees, search_all
 from ppmproj import search as search_mod
 from ppmproj.cli import main
 from ppmproj.generate import random_instance
-from ppmproj.projection import _lower_bound_block, _sweep, _sweep_block
+from ppmproj.projection import DegeneracyError, _lower_bound_block, _sweep, _sweep_block
 from ppmproj.search import (
     _SCREEN_SLACK,
     _evaluate_tree,
-    index_to_code,
+    _penalty_floor,
+    _Walk,
     resolve_penalty,
     resolve_scaling,
 )
-from ppmproj.tree import _tree_from_parent, decode_prufer, decode_prufer_block, encode_prufer
+from ppmproj.tree import _tree_from_parent, decode_prufer, decode_prufer_block
 
 
 def all_codes(q):
-    total = count_trees(q)
-    codes = [index_to_code(i, q) for i in range(total)]
-    return np.array(codes, dtype=np.int64).reshape(total, max(q - 2, 0))
+    """Every Prüfer code at q, in lexicographic order."""
+    codes = list(itertools.product(range(1, q + 1), repeat=max(q - 2, 0)))
+    return np.array(codes, dtype=np.int64).reshape(len(codes), max(q - 2, 0))
 
 
 def custom_penalty(tree):
@@ -41,8 +45,7 @@ def reference_ranking(spec):
     jfn = resolve_scaling(spec.scaling)
     penalty = resolve_penalty(spec.penalty)
     rows = []
-    for index in range(count_trees(q)):
-        code = index_to_code(index, q)
+    for code in map(tuple, all_codes(q).tolist()):
         tree = decode_prufer(code, q)
         pen = float(penalty(np.array([tree.parent]))[0])
         obj, cost, m_cols, f_cols = _evaluate_tree(tree, fcols, jfn, pen)
@@ -57,6 +60,15 @@ def assert_ranking_equals(report, reference):
         assert (entry.code, entry.objective, entry.cost) == (code, obj, cost)
         assert np.array_equal(entry.m_star, m_star)
         assert np.array_equal(entry.f_star, f_star)
+
+
+def depths(parent):
+    """Depth of every node of each (B, q+1) parent row, by relaxation."""
+    rows = np.arange(len(parent))[:, None]
+    depth = np.zeros(parent.shape, dtype=np.int64)
+    for _ in range(parent.shape[1]):
+        depth[:, 2:] = depth[rows, parent[:, 2:]] + 1
+    return depth
 
 
 class TestDecodePruferBlock:
@@ -182,6 +194,80 @@ class TestLowerBound:
         assert math.sqrt(bound) * (1.0 - _SCREEN_SLACK) <= math.sqrt(cost2)
 
 
+def levels_and_completions(q, fhat):
+    """Every partial and complete tree at q, level by level, from the walk
+    with no bar, and the scalar squared cost of every column on each
+    complete tree (rows of the last level)."""
+    walk = _Walk(SearchSpec(fhat=fhat))
+    rows = walk._root()
+    levels = []
+    for u in range(2, q + 1):
+        rows = walk._expand(rows, u)
+        levels.append((u, rows))
+    trees = [_tree_from_parent(row) for row in rows.parent.astype(np.int64).tolist()]
+    cost2 = np.array([[_sweep(tree, f)[4] for f in walk.fcols] for tree in trees])
+    return levels, cost2
+
+
+def cheapest_completions(levels, cost2):
+    """For each level, the smallest cost of each column over the completions
+    of each of its rows: a (rows, p) array per level."""
+    complete = levels[-1][1].parent
+    out = []
+    for u, rows in levels:
+        cheapest = {}
+        for prefix, c2 in zip(map(tuple, complete[:, 2:u + 1].tolist()), cost2):
+            cheapest[prefix] = np.minimum(cheapest.get(prefix, c2), c2)
+        out.append(np.array([cheapest[prefix]
+                             for prefix in map(tuple, rows.parent[:, 2:u + 1].tolist())]))
+    return out
+
+
+class TestPartialBound:
+    @pytest.mark.parametrize("q", range(2, 7))
+    @pytest.mark.parametrize("kind", ["normal", "feasible", "quantized", "tiny", "huge"])
+    def test_bound_is_below_every_completion(self, q, kind):
+        levels, cost2 = levels_and_completions(q, bound_columns(kind, q, np.random.default_rng(q)))
+        assert len(levels[-1][1]) == count_trees(q)
+        assert sum(len(rows) for _, rows in levels) == sum(
+            (q - j) * q ** (j - 1) for j in range(1, q))
+        for (u, rows), cheapest in zip(levels, cheapest_completions(levels, cost2)):
+            assert (np.sqrt(rows.bound) * (1.0 - _SCREEN_SLACK) <= np.sqrt(cheapest)).all()
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_complete_bound_equals_block_bound(self, q):
+        fhat = np.random.default_rng(q).standard_normal((q, 3))
+        walk = _Walk(SearchSpec(fhat=fhat))
+        rows = walk._root()
+        for u in range(2, q + 1):
+            rows = walk._expand(rows, u)
+        parent = rows.parent.astype(np.int64)
+        assert len(parent) == count_trees(q)
+        assert np.array_equal(rows.depth, depths(parent))
+        reference = _lower_bound_block(parent, depths(parent), walk.fblock)
+        assert np.allclose(rows.bound, reference, rtol=1e-12, atol=0.0)
+
+    def test_scaled_bound_fails_on_some_partial_tree(self):
+        # A partial bound scaled up by 1% must exceed some completion's cost,
+        # or the check above could not tell a tight bound from a slack one.
+        q = 6
+        levels, cost2 = levels_and_completions(q, np.random.default_rng(0).standard_normal((q, 3)))
+        cheapest = cheapest_completions(levels, cost2)
+        assert any((1.01 * rows.bound.sum(axis=1) > best.sum(axis=1)).any()
+                   for (u, rows), best in zip(levels[:-1], cheapest))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), q=st.integers(1, 30), weight=st.sampled_from([-0.5, 0.0, 0.3]))
+    def test_penalty_floor_is_below_every_tree(self, data, q, weight):
+        code = data.draw(st.lists(st.integers(1, q), min_size=max(q - 2, 0),
+                                  max_size=max(q - 2, 0)))
+        parent = np.array([decode_prufer(code, q).parent])
+        spec = f"leaves:{weight}"
+        assert _penalty_floor(spec, q) <= resolve_penalty(spec)(parent)[0]
+        assert _penalty_floor("zero", q) == 0.0
+        assert _penalty_floor(custom_penalty, q) == -math.inf
+
+
 class TestScreen:
     K = 4
 
@@ -230,8 +316,13 @@ class TestScreen:
         monkeypatch.setattr(search_mod, "_sweep_block", spoiled)
         monkeypatch.setattr(search_mod, "_evaluate_tree", recording)
         # A zero bound lets the worst tree through to the block sweep.
-        monkeypatch.setattr(search_mod, "_lower_bound_block",
-                            lambda parent, depth, fblock: np.zeros((len(parent), len(fblock))))
+        child_bounds = search_mod._child_bounds
+
+        def zero_bounds(rows, u, above, base):
+            src, a, bound = child_bounds(rows, u, above, base)
+            return src, a, np.zeros_like(bound)
+
+        monkeypatch.setattr(search_mod, "_child_bounds", zero_bounds)
         for block in (7, 8192):
             monkeypatch.setattr(search_mod, "_BLOCK", block)
             rescored.clear()
@@ -249,76 +340,169 @@ class TestScreen:
         rng = np.random.default_rng(11)
         _, fhat = random_instance(q, p=3, rng=rng, feasible=True)
         spec = SearchSpec(fhat=fhat + 0.01 * rng.standard_normal(fhat.shape), k=k)
-        exact = {code: obj for obj, code, *_ in reference_ranking(spec)}
-        bound_block = search_mod._lower_bound_block
-        sweep_block = search_mod._sweep_block
-        blocks = []
+        sweep_rows = search_mod._sweep_rows
+        evaluate = search_mod._evaluate_tree
+        swept = []
+        scored = []
 
-        def recording_bound(parent, depth, fblock):
-            bound = bound_block(parent, depth, fblock)
+        def recording_sweep(rows, parent, order, fblock, tail, pens, bar, jfn_block):
+            # Each tree sent to the block sweep has a lower objective, from
+            # the block bound of the whole tree, within the bar of the moment.
+            chosen = parent[rows]
+            bound = _lower_bound_block(chosen, depths(chosen), fblock)
             lower = search_mod._lower_objective(np.sqrt(bound.sum(axis=1)), 0.0, np.asarray)
-            blocks.append(({tuple(r): b for r, b in zip(parent.tolist(), lower)}, set()))
-            return bound
+            assert (lower <= bar + 1e-12 * max(1.0, bar)).all()
+            swept.extend(map(tuple, chosen.tolist()))
+            return sweep_rows(rows, parent, order, fblock, tail, pens, bar, jfn_block)
 
-        def recording_sweep(parent, order, f):
-            blocks[-1][1].update(map(tuple, parent.tolist()))
-            return sweep_block(parent, order, f)
+        def recording_evaluate(tree, *args):
+            scored.append(tree.parent)
+            return evaluate(tree, *args)
 
         monkeypatch.setattr(search_mod, "_BLOCK", 1000)
-        monkeypatch.setattr(search_mod, "_lower_bound_block", recording_bound)
-        monkeypatch.setattr(search_mod, "_sweep_block", recording_sweep)
+        monkeypatch.setattr(search_mod, "_sweep_rows", recording_sweep)
+        monkeypatch.setattr(search_mod, "_evaluate_tree", recording_evaluate)
         report = search_all(spec)
         assert_ranking_equals(report, reference_ranking(spec)[:k])
-        assert report.trees_swept == sum(len(swept) for _, swept in blocks)
-        assert report.trees_swept <= 0.01 * report.trees_evaluated
+        # The beam scores 4k trees for the first bar; the walk's leaves
+        # score the others exactly or sweep them.
+        walk_scored = len(scored) - min(4 * k, count_trees(q))
+        assert len(set(swept)) == len(swept)
+        assert len(swept) <= report.trees_swept <= walk_scored + len(swept)
+        assert report.trees_rescored <= report.trees_swept <= 0.01 * report.trees_evaluated
 
-        # Each block sweeps its k lowest-bound trees, then only trees whose
-        # lower bound reaches the bar: at most the k-th best objective of
-        # the blocks before it.
-        seen = []
-        for lower, swept in blocks:
-            first = sorted(lower.values())[min(k, len(lower)) - 1]
-            bar = sorted(seen)[k - 1] if len(seen) >= k else math.inf
-            assert all(lower[row] <= max(first, bar) for row in swept)
-            seen.extend(exact[encode_prufer(_tree_from_parent(row))] for row in lower)
+        # On a planted q=8 instance the walk bounds under 1% of the 8^6 trees.
+        _, fhat = random_instance(8, p=3, rng=rng, feasible=True)
+        spec = SearchSpec(fhat=fhat + 0.01 * rng.standard_normal(fhat.shape), k=k)
+        report = search_all(spec)
+        assert report.trees_swept <= report.nodes_bounded <= 0.01 * 8 ** 6
 
 
-class _SerialPool:
-    def __init__(self, initializer, initargs):
-        initializer(*initargs)
+class _Pipe:
+    """One end pair of an in-process pipe."""
 
-    def __enter__(self):
-        return self
+    def __init__(self):
+        self.sent = []
 
-    def __exit__(self, *exc):
-        return False
+    def send(self, value):
+        self.sent.append(value)
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def recv(self):
+        if not self.sent:
+            raise EOFError
+        return self.sent.pop(0)
+
+    def close(self):
+        pass
+
+
+class _InlineProcess:
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+        self.exitcode = None
+
+    def start(self):
+        self.target(*self.args)
+        self.exitcode = 0
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
 
 
 class _RecordingContext:
-    """Stands in for a multiprocessing context: records each pool's size
-    and maps in this process, so that no process is started."""
+    """Stands in for the fork context: counts the children started and runs
+    each in this process, so that no process is started."""
 
     def __init__(self):
-        self.processes = []
+        self.children = 0
 
-    def Pool(self, processes, initializer, initargs):
-        self.processes.append(processes)
-        return _SerialPool(initializer, initargs)
+    def Pipe(self, duplex):
+        pipe = _Pipe()
+        return pipe, pipe
+
+    def Process(self, target, args):
+        self.children += 1
+        return _InlineProcess(target, args)
+
+
+def _tiny_spec(q=5):
+    return SearchSpec(fhat=np.random.default_rng(0).standard_normal((q, 1)), k=2)
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("q, workers, expected", [
-        (3, 8, [3]), (4, 10 ** 6, [16]), (5, 2, [2]), (5, 1, [])])
-    def test_pool_has_one_process_per_range(self, q, workers, expected, monkeypatch):
+    @pytest.mark.parametrize("q, workers", [(3, 8), (4, 10 ** 6), (5, 2), (5, 1)])
+    def test_one_child_per_share(self, q, workers, monkeypatch):
         context = _RecordingContext()
         monkeypatch.setattr(search_mod.mp, "get_context", lambda method: context)
-        spec = SearchSpec(fhat=np.random.default_rng(0).standard_normal((q, 1)), k=2)
+        deal = search_mod._deal
+        shares = []
+
+        def recording_deal(rows, parts):
+            shares.append(deal(rows, parts))
+            return shares[-1]
+
+        monkeypatch.setattr(search_mod, "_deal", recording_deal)
+        spec = _tiny_spec(q)
         report = search_all(spec, workers=workers)
-        assert context.processes == expected
+        [dealt] = shares
+        assert 1 <= len(dealt) <= workers
+        # A single share runs in the calling process.
+        assert context.children == (len(dealt) if len(dealt) > 1 else 0)
+        if (q, workers) == (5, 2):
+            assert context.children == 2
         assert [r.code for r in report.ranked] == [r.code for r in search_all(spec).ranked]
+
+    def test_children_are_joined(self):
+        report = search_all(_tiny_spec(6), workers=2)
+        assert report.ranked
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_keeps_its_type(self, monkeypatch):
+        caller = os.getpid()
+        sweep = search_mod._sweep
+
+        def degenerate_in_children(tree, f):
+            if os.getpid() != caller:
+                raise DegeneracyError("forced in a child")
+            return sweep(tree, f)
+
+        monkeypatch.setattr(search_mod, "_sweep", degenerate_in_children)
+        with pytest.raises(DegeneracyError, match="forced in a child"):
+            search_all(_tiny_spec(6), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_child_without_result_is_an_error(self, monkeypatch):
+        caller = os.getpid()
+        evaluate = search_mod._evaluate_tree
+
+        def exit_in_children(*args):
+            if os.getpid() != caller:
+                os._exit(7)
+            return evaluate(*args)
+
+        monkeypatch.setattr(search_mod, "_evaluate_tree", exit_in_children)
+        with pytest.raises(RuntimeError, match=r"share \d of 2 exited with code 7"):
+            search_all(_tiny_spec(6), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_cli_exits_3_when_a_child_degenerates(self, tmp_path, monkeypatch, capsys):
+        caller = os.getpid()
+        sweep = search_mod._sweep
+
+        def degenerate_in_children(tree, f):
+            if os.getpid() != caller:
+                raise DegeneracyError("forced in a child")
+            return sweep(tree, f)
+
+        monkeypatch.setattr(search_mod, "_sweep", degenerate_in_children)
+        matrix = tmp_path / "m.csv"
+        np.savetxt(matrix, np.random.default_rng(1).standard_normal((6, 2)), delimiter=",")
+        assert main(["search", str(matrix), "--workers", "2"]) == 3
+        assert "forced in a child" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_non_positive_workers_rejected(self, workers):

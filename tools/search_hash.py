@@ -5,8 +5,8 @@ The grid is q = 6 and 7; N(0, 1) and feasible data (p = 3, k = 5); the
 identity, log1p and square scalings; the zero, ``leaves:0.3`` and a callable
 penalty; and 1, 2 and 8 workers: 108 searches.  Each search contributes its
 codes, its objectives and costs as ``float.hex``, and the sha256 of its
-m* and f* bytes.  ``trees_swept`` and ``trees_rescored`` are left out, since
-they count the work of the screen, not its result.
+m* and f* bytes.  ``nodes_bounded``, ``trees_swept`` and ``trees_rescored``
+are left out, since they count the work of the search, not its result.
 
 Run it against the source tree to be checked:
 
