@@ -13,11 +13,11 @@ their Prüfer code, so the output is identical for any worker count.
 * first bar: before the walk, a beam of the 4k lowest-bound rows per level
   reaches 4k trees, which are scored exactly;
 * walk: depth first, in steps of at most ``_BLOCK`` candidate rows, lowest
-  bound first;
+  bound first and, among equal bounds, tightest fit first;
 * leaves: complete trees go through the block screen: the bound and the
-  penalty, ``projection._sweep_block`` one column at a time with early
-  abandonment, then a two-sided screen; the few left, with any tree the
-  block sweep cannot vouch for, are re-scored by ``projection._sweep`` (the
+  penalty; the k of lowest bound scored exactly; ``projection._sweep_block``
+  on the others, one column at a time with early abandonment, then a
+  two-sided screen.  Exact scores come from ``projection._sweep`` (the
   sweep behind ``project``) on a :class:`RootedTree`.
 
 Workers: the caller expands whole levels until 4 rows per worker are open,
