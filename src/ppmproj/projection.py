@@ -20,8 +20,9 @@ and the update visit only the free nodes, and the star pass every node, so
 a column costs O(q) per segment over at most q + 1 segments.
 
 :func:`_sweep_block` runs the same sweep in numpy on a block of trees at
-once and returns costs only.  The search uses it to screen trees; every
-number the search reports still comes from :func:`_sweep`.
+once, given as the search walk's parent and depth rows, and returns costs
+only.  The search uses it to screen trees; every number the search reports
+still comes from :func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ LSECOND_GUARD = 1e-14
 RATE_ONE_EPS = 1e-12
 
 _NEG_INF = float("-inf")
+# Simultaneous boundary events at t lie within this times max(|t|, 1).
+_TIE_RTOL = 1e-9
 
 
 class DegeneracyError(ArithmeticError):
@@ -49,7 +52,7 @@ class DegeneracyError(ArithmeticError):
 def tie_tolerance(t: float) -> float:
     """Absolute tolerance for grouping simultaneous boundary events at t."""
     a = abs(t)
-    return 1e-9 * (a if a > 1.0 else 1.0)
+    return _TIE_RTOL * (a if a > 1.0 else 1.0)
 
 
 @dataclass
@@ -285,15 +288,15 @@ def _sweep(tree, f, path=None, counters=None):
 
 def _tie_tolerance_block(t):
     """:func:`tie_tolerance` of every entry of ``t``."""
-    return 1e-9 * np.maximum(np.abs(t), 1.0)
+    return _TIE_RTOL * np.maximum(np.abs(t), 1.0)
 
 
-def _sweep_block(parent, order, f):
+def _sweep_block(parent, depth, f):
     """Squared projection cost of one column on each of B trees in lockstep.
 
-    ``parent`` (B, q+1) and ``order`` (B, q) are as returned by
-    :func:`ppmproj.tree.decode_prufer_block`, and ``f`` is the column as a
-    length-(q+1) vector with ``f[0]`` unused.  Runs :func:`_sweep`'s
+    ``parent`` and ``depth`` (B, q+1) are rows of the search's walk, each
+    node's parent and depth, and ``f`` is the column as a length-(q+1)
+    vector; column 0 of each is unused.  Runs :func:`_sweep`'s
     two-pass sweep, with its tie tolerance and ``RATE_ONE_EPS``, on all
     trees at once and returns ``(cost2, uncertified)``: the (B,) squared
     costs and a mask of the rows it cannot vouch for (curvature below
@@ -301,14 +304,18 @@ def _sweep_block(parent, order, f):
     run in another order than :func:`_sweep`'s, so the costs may differ
     from its costs in the last bits; it builds no m, f or z vectors.
 
-    Each tree is relabelled by position in its order, so that position j's
-    parent lies at a smaller position and the state is (q+1, B) arrays
-    whose row j is position j of every tree (row 0 is the zero anchor above
-    the root).  Step j of either pass then reads or writes one parent per
-    tree, so its scattered indices are unique.  Rows that finish are
-    compacted out after each segment.
+    Each tree is relabelled by position in its order by depth, then label,
+    so that position j's parent lies at a smaller position and the state is
+    (q+1, B) arrays whose row j is position j of every tree (row 0 is the
+    zero anchor above the root).  Step j of either pass then reads or writes
+    one parent per tree, so its scattered indices are unique.  Rows that
+    finish are compacted out after each segment.
     """
-    b, q = order.shape
+    b, width = parent.shape
+    q = width - 1
+    # In int64: depth * width + label overflows the walk's int8 rows.
+    order = np.sort(depth[:, 1:].astype(np.int64) * width + np.arange(1, width),
+                    axis=1) % width
     f = np.asarray(f, dtype=float)
     rows = np.arange(b)[:, None]
     pos = np.zeros((b, q + 1), dtype=np.int64)
@@ -394,51 +401,6 @@ def _sweep_block(parent, order, f):
             t, lp = t[going], lp[going]
             flat = up * width + np.arange(width)
     return cost2, uncertified
-
-
-def _lower_bound_block(parent, depth, fblock):
-    """Lower bounds on the squared projection cost of p columns on each of
-    B trees, with no segment loop.
-
-    ``parent`` and ``depth`` (B, q+1) are as returned by
-    :func:`ppmproj.tree.decode_prufer_block`, and ``fblock`` (p, q+1) holds
-    the columns with entry 0 unused.  Returns a (B, p) array.
-
-    For one column y the model set is {F_1 = 1, F_u >= sum of F over the
-    children C(u), F >= 0}.  Since F >= 0, every node u >= 2 pays at least
-    min(y_u, 0)^2 and the root pays exactly (y_1 - 1)^2.  Against y+ =
-    max(y, 0), the constraint of a non-root u is a half-space on the group
-    {u} + C(u) at squared distance (sum_C y+_c - y+_u)+^2 / (|C(u)| + 1); the
-    root's group C(1) must sum to at most 1, at squared distance
-    (sum_C y+_c - 1)+^2 / |C(1)|.  Groups of nodes at even depths are
-    pairwise disjoint, and so are those at odd depths, so the larger of the
-    two families' sums adds to the bound.
-    """
-    fblock = np.asarray(fblock, dtype=float)
-    b, width = parent.shape
-    below = np.minimum(fblock[:, 2:], 0.0)
-    base = (fblock[:, 1] - 1.0) ** 2 + np.einsum("sj,sj->s", below, below)
-    slot = (parent[:, 2:] + width * np.arange(b)[:, None]).ravel()
-    # Group sizes: |C(u)| + 1, but |C(1)| at the root, where a childless
-    # root's term is 0 whatever its size.  Column 0 weighs nothing.
-    size = np.bincount(slot, minlength=b * width).reshape(b, width) + 1.0
-    size[:, 1] = np.maximum(size[:, 1] - 1.0, 1.0)
-    odd = (depth & 1).astype(bool)
-    odd_weight = np.where(odd, 1.0 / size, 0.0)
-    even_weight = np.where(odd, 0.0, 1.0 / size)
-    even_weight[:, 0] = 0.0
-    above = np.maximum(fblock, 0.0)
-    # The root's group is bounded by F_1 = 1 in place of its own entry.
-    above[:, 1] = 1.0
-    bound = np.empty((b, len(fblock)))
-    for s, y in enumerate(above):
-        kids = np.bincount(slot, weights=np.broadcast_to(y[2:], (b, width - 2)).ravel(),
-                           minlength=b * width).reshape(b, width)
-        gap = np.maximum(kids - y, 0.0)
-        gap *= gap
-        bound[:, s] = base[s] + np.maximum(np.einsum("bj,bj->b", gap, even_weight),
-                                           np.einsum("bj,bj->b", gap, odd_weight))
-    return bound
 
 
 def project(tree: RootedTree, fhat_col, keep_path=False,

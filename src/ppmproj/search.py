@@ -7,18 +7,18 @@ as a lower bound on the objective of every tree completing it exceeds the
 bar, the k-th best objective known so far.  Ties between trees break by
 their Prüfer code, so the output is identical for any worker count.
 
-* bound: :func:`_child_bounds` carries ``projection._lower_bound_block``
-  over to forests, per component, and updates it per child in O(1) per
-  column; a partial tree's penalty is bounded by :func:`_penalty_floor`;
+* bound: :func:`_child_bounds` carries :func:`_lower_bound_block` over to
+  forests, per component, and updates it per child in O(1) per column; a
+  partial tree's penalty is bounded by :func:`_penalty_floor`;
 * first bar: before the walk, a beam of the 4k lowest-bound rows per level
   reaches 4k trees, which are scored exactly;
 * walk: depth first, in steps of at most ``_BLOCK`` candidate rows, lowest
   bound first and, among equal bounds, tightest fit first;
 * leaves: complete trees go through the block screen: the bound and the
   penalty; the k of lowest bound scored exactly; ``projection._sweep_block``
-  on the others, one column at a time with early abandonment, then a
-  two-sided screen.  Exact scores come from ``projection._sweep`` (the
-  sweep behind ``project``) on a :class:`RootedTree`.
+  on the others' parent and depth rows, one column at a time with early
+  abandonment, then a two-sided screen.  Exact scores come from
+  ``projection._sweep`` (behind ``project``) on a :class:`RootedTree`.
 
 Workers: the caller expands whole levels until 4 rows per worker are open,
 deals them out round-robin in (bound, parent row) order and walks each
@@ -212,7 +212,7 @@ def _kth_upper(cost, pen, jfn_block, k, bar):
     return min(bar, np.partition(upper, k - 1)[k - 1])
 
 
-def _sweep_rows(rows, parent, order, fblock, tail, pens, bar, jfn_block):
+def _sweep_rows(rows, parent, depth, fblock, tail, pens, bar, jfn_block):
     """Sweep ``rows`` of a block one column at a time, abandoning early.
 
     ``tail[:, s]`` is the bound on columns s.. of each row.  After column s
@@ -226,7 +226,7 @@ def _sweep_rows(rows, parent, order, fblock, tail, pens, bar, jfn_block):
     for s, f in enumerate(fblock):
         if not rows.size:
             break
-        c2, bad = _sweep_block(parent[rows], order[rows], f)
+        c2, bad = _sweep_block(parent[rows], depth[rows], f)
         bad |= ~np.isfinite(c2)
         if bad.any():
             flagged.append(rows[bad])
@@ -270,6 +270,51 @@ class _Open:
                      self.bound[index])
 
 
+def _lower_bound_block(parent, depth, fblock):
+    """Lower bounds on the squared projection cost of p columns on each of
+    B trees, with no segment loop.
+
+    ``parent`` and ``depth`` (B, q+1) are complete rows of the walk, and
+    ``fblock`` (p, q+1) holds the columns; column 0 of each is unused.
+    Returns a (B, p) array.
+
+    For one column y the model set is {F_1 = 1, F_u >= sum of F over the
+    children C(u), F >= 0}.  Since F >= 0, every node u >= 2 pays at least
+    min(y_u, 0)^2 and the root pays exactly (y_1 - 1)^2.  Against y+ =
+    max(y, 0), the constraint of a non-root u is a half-space on the group
+    {u} + C(u) at squared distance (sum_C y+_c - y+_u)+^2 / (|C(u)| + 1); the
+    root's group C(1) must sum to at most 1, at squared distance
+    (sum_C y+_c - 1)+^2 / |C(1)|.  Groups of nodes at even depths are
+    pairwise disjoint, and so are those at odd depths, so the larger of the
+    two families' sums adds to the bound.
+    """
+    fblock = np.asarray(fblock, dtype=float)
+    b, width = parent.shape
+    below = np.minimum(fblock[:, 2:], 0.0)
+    base = (fblock[:, 1] - 1.0) ** 2 + np.einsum("sj,sj->s", below, below)
+    slot = (parent[:, 2:] + width * np.arange(b)[:, None]).ravel()
+    # Group sizes: |C(u)| + 1, but |C(1)| at the root, where a childless
+    # root's term is 0 whatever its size.  Column 0 weighs nothing.
+    size = np.bincount(slot, minlength=b * width).reshape(b, width) + 1.0
+    size[:, 1] = np.maximum(size[:, 1] - 1.0, 1.0)
+    odd = (depth & 1).astype(bool)
+    odd_weight = np.where(odd, 1.0 / size, 0.0)
+    even_weight = np.where(odd, 0.0, 1.0 / size)
+    even_weight[:, 0] = 0.0
+    above = np.maximum(fblock, 0.0)
+    # The root's group is bounded by F_1 = 1 in place of its own entry.
+    above[:, 1] = 1.0
+    bound = np.empty((b, len(fblock)))
+    for s, y in enumerate(above):
+        kids = np.bincount(slot, weights=np.broadcast_to(y[2:], (b, width - 2)).ravel(),
+                           minlength=b * width).reshape(b, width)
+        gap = np.maximum(kids - y, 0.0)
+        gap *= gap
+        bound[:, s] = base[s] + np.maximum(np.einsum("bj,bj->b", gap, even_weight),
+                                           np.einsum("bj,bj->b", gap, odd_weight))
+    return bound
+
+
 def _child_bounds(rows, u, above, base):
     """Every child of the open ``rows`` at node u, and its bound.
 
@@ -280,7 +325,7 @@ def _child_bounds(rows, u, above, base):
     bound)``: each child's row in ``rows``, its parent of u, and a (C, p)
     bound on each column's squared cost.
 
-    This is ``projection._lower_bound_block`` on a forest.  A node's group
+    This is :func:`_lower_bound_block` on a forest.  A node's group
     holds it and its assigned children, with the term
     (sum of above over C(v) - above_v)+^2 / (|C(v)| + 1), or / |C(1)| at the
     root; F_v >= sum F_c over every child implies it over the assigned
@@ -490,13 +535,10 @@ class _Walk:
         if not rest.size:
             return
 
-        width = self.q + 1
-        order = np.sort(rows.depth[live, 1:].astype(np.int64) * width
-                        + np.arange(1, width), axis=1) % width
         tail = np.zeros((len(live), len(self.fblock) + 1))
         tail[:, :-1] = np.cumsum(bound[:, ::-1], axis=1)[:, ::-1]
-        done, cost2, flagged = _sweep_rows(rest, parent, order, self.fblock, tail, pens,
-                                           self.bar, self.jfn_block)
+        done, cost2, flagged = _sweep_rows(rest, parent, rows.depth[live], self.fblock,
+                                           tail, pens, self.bar, self.jfn_block)
         cost = np.sqrt(cost2)
         pen = pens[done]
         self.bar = _kth_upper(cost, pen, self.jfn_block, k, self.bar)

@@ -146,71 +146,6 @@ def count_trees(q: int) -> int:
     return q ** (q - 2)
 
 
-def decode_prufer_block(codes, q: int):
-    """Unchecked lockstep Prüfer decode of a block of B codes.
-
-    ``codes`` is a (B, q-2) integer array with entries in 1..q.  Returns
-    ``(parent, order, depth)``: ``parent`` is (B, q+1) and row-wise equal to
-    ``decode_prufer(code, q).parent`` (column 0 unused and 0), ``order`` is
-    (B, q) and lists each tree's nodes top-down, parents before children (by
-    depth, then label), and ``depth`` is (B, q+1) with each node's distance
-    from the root (column 0 unused and 0).
-
-    This is :func:`decode_prufer`'s leaf walk in lockstep: step j removes
-    the smallest leaf of every tree at once, which yields each tree rooted
-    at node q; the path from node 1 to q is then reversed, so the trees hang
-    from node 1.
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    b = codes.shape[0]
-    if q <= 2:
-        parent = np.tile([0, 0, 1][:q + 1], (b, 1))
-        # Node 2 hangs from node 1 at depth 1: each depth equals its parent.
-        return parent, np.tile(np.arange(1, q + 1), (b, 1)), parent.copy()
-    # Every (B, q+1) array is indexed flat: row r's node v sits at r*width + v.
-    width = q + 1
-    base = np.arange(b) * width
-    degree = np.ones((b, width), dtype=np.int64)
-    degree[:, 0] = 0
-    flat_degree = degree.reshape(-1)
-    flat_codes = codes + base[:, None]
-    for j in range(q - 2):
-        flat_degree[flat_codes[:, j]] += 1
-    up = np.zeros(b * width, dtype=np.int64)
-    for j in range(q - 2):
-        leaf = np.argmax(degree == 1, axis=1) + base
-        up[leaf] = codes[:, j]
-        flat_degree[leaf] = 0
-        flat_degree[flat_codes[:, j]] -= 1
-    # Two nodes of degree 1 remain; the larger is always q, the root so far.
-    up[np.argmax(degree == 1, axis=1) + base] = q
-
-    parent = up.copy()
-    prev = np.zeros(b, dtype=np.int64)
-    cur = np.ones(b, dtype=np.int64)
-    for _ in range(q):
-        parent[cur + base] = prev
-        prev, cur = cur, up[cur + base]
-    parent = parent.reshape(b, width)
-    parent[:, 0] = 0
-
-    # Pointer jumping: after each round a node has added the depth of the
-    # ancestor ``anc`` points to, and ``anc`` points twice as far up.
-    anc = (parent + base[:, None]).reshape(-1)
-    depth = np.ones((b, width), dtype=np.int64)
-    depth[:, :2] = 0
-    depth = depth.reshape(-1)
-    reach = 1
-    while reach < q - 1:
-        depth = depth + depth[anc]
-        anc = anc[anc]
-        reach *= 2
-    depth = depth.reshape(b, width)
-    # Sorting depth * width + label yields each row's labels by depth, then label.
-    order = np.sort(depth[:, 1:] * width + np.arange(1, width), axis=1) % width
-    return parent, order, depth
-
-
 def decode_prufer(code, q: int) -> RootedTree:
     """Decode a Prüfer sequence into the labeled tree on {1..q} rooted at 1.
 

@@ -1,6 +1,7 @@
-"""Tests for the branch-and-bound search: the block decoder and block sweep
-kernel, the lower bound on complete and partial trees, the penalty floor,
-the screen in front of the scalar core, and the forked children."""
+"""Tests for the branch-and-bound search: the block sweep kernel on the
+walk's parent and depth rows, the lower bound on complete and partial
+trees, the penalty floor, the screen in front of the scalar core, and the
+forked children."""
 
 import itertools
 import math
@@ -16,22 +17,28 @@ from ppmproj import SearchSpec, count_trees, search_all
 from ppmproj import search as search_mod
 from ppmproj.cli import main
 from ppmproj.generate import random_instance
-from ppmproj.projection import DegeneracyError, _lower_bound_block, _sweep, _sweep_block
+from ppmproj.projection import DegeneracyError, _sweep, _sweep_block
 from ppmproj.search import (
     _SCREEN_SLACK,
     _evaluate_tree,
+    _lower_bound_block,
     _penalty_floor,
     _Walk,
     resolve_penalty,
     resolve_scaling,
 )
-from ppmproj.tree import _tree_from_parent, decode_prufer, decode_prufer_block
+from ppmproj.tree import _tree_from_parent, decode_prufer
 
 
 def all_codes(q):
     """Every Prüfer code at q, in lexicographic order."""
     codes = list(itertools.product(range(1, q + 1), repeat=max(q - 2, 0)))
     return np.array(codes, dtype=np.int64).reshape(len(codes), max(q - 2, 0))
+
+
+def parent_rows(codes, q):
+    """The (B, q+1) parent rows of the trees with Prüfer ``codes``."""
+    return np.array([decode_prufer(code, q).parent for code in codes.tolist()])
 
 
 def custom_penalty(tree):
@@ -71,30 +78,6 @@ def depths(parent):
     return depth
 
 
-class TestDecodePruferBlock:
-    @pytest.mark.parametrize("q", range(1, 8))
-    def test_parents_equal_scalar_decoder(self, q):
-        codes = all_codes(q)
-        parent, order, depth = decode_prufer_block(codes, q)
-        assert parent.shape == depth.shape == (len(codes), q + 1)
-        assert order.shape == (len(codes), q)
-        for row, code in zip(parent.tolist(), codes.tolist()):
-            assert tuple(row) == decode_prufer(code, q).parent
-
-    @pytest.mark.parametrize("q", range(1, 8))
-    def test_order_puts_parents_before_children(self, q):
-        parent, order, depth = decode_prufer_block(all_codes(q), q)
-        assert (np.sort(order, axis=1) == np.arange(1, q + 1)).all()
-        rows = np.arange(len(order))[:, None]
-        position = np.zeros_like(parent)
-        position[rows, order] = np.arange(q)
-        assert (order[:, 0] == 1).all()
-        assert (position[rows, parent[:, 2:]] < position[:, 2:]).all()
-        assert (depth[:, :2] == 0).all()
-        assert (depth[:, 2:] == depth[rows, parent[:, 2:]] + 1).all()
-        assert (np.diff(depth[rows, order], axis=1) >= 0).all()
-
-
 class TestSweepBlock:
     Q = 6
 
@@ -114,12 +97,13 @@ class TestSweepBlock:
     def test_cost_matches_scalar_sweep_on_every_tree(self, kind):
         q = self.Q
         codes = all_codes(q)
-        parent, order, _ = decode_prufer_block(codes, q)
         scalar_trees = [decode_prufer(c, q) for c in codes.tolist()]
+        parent = np.array([tree.parent for tree in scalar_trees])
+        depth = depths(parent)
         fhat = self.columns(kind, np.random.default_rng(7))
         for s in range(fhat.shape[1]):
             col = [0.0] + fhat[:, s].tolist()
-            cost2, uncertified = _sweep_block(parent, order, np.array(col))
+            cost2, uncertified = _sweep_block(parent, depth, np.array(col))
             assert cost2.shape == uncertified.shape == (len(codes),)
             assert not uncertified.any()
             for got, tree in zip(cost2.tolist(), scalar_trees):
@@ -127,10 +111,23 @@ class TestSweepBlock:
                 assert abs(got - want) <= 1e-12 * max(1.0, want)
 
     def test_non_finite_cost_is_uncertified(self):
-        parent, order, _ = decode_prufer_block(all_codes(4), 4)
-        cost2, uncertified = _sweep_block(parent, order,
+        parent = parent_rows(all_codes(4), 4)
+        cost2, uncertified = _sweep_block(parent, depths(parent),
                                           np.array([0.0, 0.5, np.nan, 0.1, 0.2]))
         assert uncertified.all()
+
+    @pytest.mark.parametrize("q", [11, 12])
+    def test_int8_rows_of_a_chain(self, q):
+        # The walk's rows are int8, and on a chain depth * (q+1) + label
+        # reaches 131 at q=11 and 155 at q=12.
+        parent = np.zeros((1, q + 1), dtype=np.int8)
+        parent[0, 2:] = np.arange(1, q)
+        depth = depths(parent).astype(np.int8)
+        col = [0.0] + np.random.default_rng(q).standard_normal(q).tolist()
+        cost2, uncertified = _sweep_block(parent, depth, np.array(col))
+        want = _sweep(_tree_from_parent(parent[0].tolist()), col)[4]
+        assert not uncertified.any()
+        assert abs(cost2[0] - want) <= 1e-12 * max(1.0, want)
 
 
 def lower_bounds_and_costs(q, fhat):
@@ -138,8 +135,8 @@ def lower_bounds_and_costs(q, fhat):
     each a (trees, p) array."""
     fblock = np.zeros((fhat.shape[1], q + 1))
     fblock[:, 1:] = fhat.T
-    parent, _, depth = decode_prufer_block(all_codes(q), q)
-    bound = _lower_bound_block(parent, depth, fblock)
+    parent = parent_rows(all_codes(q), q)
+    bound = _lower_bound_block(parent, depths(parent), fblock)
     trees = [decode_prufer(c, q) for c in all_codes(q).tolist()]
     cost2 = np.array([[_sweep(tree, f)[4] for f in fblock.tolist()] for tree in trees])
     return bound, cost2
@@ -188,9 +185,10 @@ class TestLowerBound:
             st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
             min_size=q, max_size=q))
         f = [0.0] + [scale * x for x in column]
-        parent, _, depth = decode_prufer_block(np.array([code]), q)
-        bound = _lower_bound_block(parent, depth, np.array([f]))[0, 0]
-        cost2 = _sweep(decode_prufer(code, q), f)[4]
+        tree = decode_prufer(code, q)
+        parent = np.array([tree.parent])
+        bound = _lower_bound_block(parent, depths(parent), np.array([f]))[0, 0]
+        cost2 = _sweep(tree, f)[4]
         assert math.sqrt(bound) * (1.0 - _SCREEN_SLACK) <= math.sqrt(cost2)
 
 
@@ -300,8 +298,8 @@ class TestScreen:
         best, worst = (decode_prufer(ranking[i][1], q).parent for i in (0, -1))
         sweep_block = search_mod._sweep_block
 
-        def spoiled(parent, order, f):
-            cost2, uncertified = sweep_block(parent, order, f)
+        def spoiled(parent, depth, f):
+            cost2, uncertified = sweep_block(parent, depth, f)
             cost2[(parent == best).all(axis=1)] = np.nan
             uncertified[(parent == worst).all(axis=1)] = True
             return cost2, uncertified
@@ -345,7 +343,7 @@ class TestScreen:
         swept = []
         scored = []
 
-        def recording_sweep(rows, parent, order, fblock, tail, pens, bar, jfn_block):
+        def recording_sweep(rows, parent, depth, fblock, tail, pens, bar, jfn_block):
             # Each tree sent to the block sweep has a lower objective, from
             # the block bound of the whole tree, within the bar of the moment.
             chosen = parent[rows]
@@ -353,7 +351,7 @@ class TestScreen:
             lower = search_mod._lower_objective(np.sqrt(bound.sum(axis=1)), 0.0, np.asarray)
             assert (lower <= bar + 1e-12 * max(1.0, bar)).all()
             swept.extend(map(tuple, chosen.tolist()))
-            return sweep_rows(rows, parent, order, fblock, tail, pens, bar, jfn_block)
+            return sweep_rows(rows, parent, depth, fblock, tail, pens, bar, jfn_block)
 
         def recording_evaluate(tree, *args):
             scored.append(tree.parent)
