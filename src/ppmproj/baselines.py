@@ -1,8 +1,10 @@
 """Iterative reference solvers: ADMM and projected gradient, primal and dual.
 
-These exist to benchmark the exact sweep, not to compete with it.  All four
-solvers monitor the error max_j |M_j - M*_j| against a supplied reference
-when available, otherwise the max-abs change between successive iterates.
+These exist to benchmark the exact sweep, not to compete with it.  Each
+solver is its update step, a generator, and :func:`_iterate` runs all four:
+it stops once the error max_j |M_j - M*_j| against a supplied reference
+(otherwise the max-abs change between successive iterates) reaches the
+tolerance, and it records the trace.
 
 The ancestry matrix is never inverted: its inverse is I minus the
 closest-ancestor adjacency, so the dual quadratic is applied with a parent
@@ -36,6 +38,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.rho <= 0 or self.alpha <= 0 or self.tol <= 0:
             raise ValueError("rho, alpha and tol must all be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -58,19 +62,16 @@ class ConvergenceTrace:
     def final_error(self):
         return self.errors[-1] if self.errors else np.inf
 
+    def _first(self, values, tol):
+        return next((v for v, err in zip(values, self.errors) if err <= tol), None)
+
     def iterations_to(self, tol):
         """First iteration index at which the error reached ``tol``; None if never."""
-        for it, err in zip(self.iterations, self.errors):
-            if err <= tol:
-                return it
-        return None
+        return self._first(self.iterations, tol)
 
     def time_to(self, tol):
         """Elapsed seconds when the error first reached ``tol``; None if never."""
-        for elapsed, err in zip(self.times, self.errors):
-            if err <= tol:
-                return elapsed
-        return None
+        return self._first(self.times, tol)
 
     def write_csv(self, fileobj):
         fileobj.write("iteration,error,objective,elapsed-seconds\n")
@@ -134,21 +135,20 @@ class TreeOps:
         np.subtract.at(m, self.parent_idx[nr], f[nr])
         return m, f
 
-    def gram_lmax(self, iters=60, seed=0):
+    def gram_lmax(self):
         """Power-iteration estimate of the largest eigenvalue of U^T U."""
-        return _power_lmax(lambda x: self.ancestor_cumsum(self.subtree_sum(x)),
-                           self.q, iters, seed)
+        return _power_lmax(lambda x: self.ancestor_cumsum(self.subtree_sum(x)), self.q)
 
 
-def _power_lmax(apply, q, iters, seed):
-    """Power iteration for the largest eigenvalue of the symmetric positive
-    semidefinite operator ``apply`` on R^q, from a seeded random start;
-    1.0 when the iterate vanishes."""
-    rng = np.random.default_rng(seed)
+def _power_lmax(apply, q):
+    """60 steps of power iteration for the largest eigenvalue of the
+    symmetric positive semidefinite operator ``apply`` on R^q, from a
+    random start seeded with 0; 1.0 when the iterate vanishes."""
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(q)
     x /= np.linalg.norm(x)
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(60):
         y = apply(x)
         lam = float(np.linalg.norm(y))
         if lam == 0.0:
@@ -174,18 +174,6 @@ def simplex_project(v):
             break
         active = active[mask]
         tau = (active.sum() - 1.0) / kept
-    return np.maximum(v - tau, 0.0)
-
-
-def _simplex_project_sorted(v):
-    """Sort-based simplex projection; validation twin of simplex_project."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    valid = u > css / ks
-    k = int(np.max(ks[valid]))
-    tau = css[k - 1] / k
     return np.maximum(v - tau, 0.0)
 
 
@@ -222,12 +210,6 @@ def polyhedron_project(a, b, n, return_stats=False):
     return z, t
 
 
-def _error_metric(m, reference_m, prev_m):
-    if reference_m is not None:
-        return float(np.max(np.abs(m - reference_m)))
-    return float(np.max(np.abs(m - prev_m)))
-
-
 class _DivergenceGuard:
     """Raises once the objective has risen a fixed number of times in a row."""
 
@@ -248,6 +230,29 @@ class _DivergenceGuard:
         self.prev = objective
 
 
+def _iterate(steps, m, cfg, reference_m, guard=None):
+    """Run a solver from mutant fractions ``m`` until the error reaches
+    ``cfg.tol`` or ``cfg.max_iters`` updates are done.
+
+    ``steps`` yields ``(objective, result)`` after each update, the last
+    entry of ``result`` being the new m.  The error is max |m - reference_m|,
+    or the max change from the previous m without a reference.  Each
+    objective goes to ``guard`` if one is given.  Returns ``(*result, trace)``.
+    """
+    trace = ConvergenceTrace()
+    start = time.perf_counter()
+    for it, (obj, result) in zip(range(1, cfg.max_iters + 1), steps):
+        prev, m = m, result[-1]
+        err = float(np.max(np.abs(m - (prev if reference_m is None else reference_m))))
+        trace.record(it, err, obj, time.perf_counter() - start)
+        if guard is not None:
+            guard.check(obj)
+        if err <= cfg.tol:
+            trace.converged = True
+            break
+    return (*result, trace)
+
+
 def admm_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
                 reference_m=None):
     """Consensus ADMM on the primal projection: quadratic prox by a cached
@@ -265,25 +270,19 @@ def admm_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     prox = np.linalg.inv(rho * np.eye(q) + u.T @ u)
     utf = u.T @ f
 
+    def steps(m):
+        u1 = np.zeros(q)
+        u2 = np.zeros(q)
+        while True:
+            m1 = prox @ (rho * m - rho * u1 + utf)
+            m2 = simplex_project(m - u2)
+            m = 0.5 * (m1 + u1 + m2 + u2)
+            u1 = u1 + alpha * (m1 - m)
+            u2 = u2 + alpha * (m2 - m)
+            yield float(np.linalg.norm(f - u @ m)), (m,)
+
     m = np.zeros(q)
-    u1 = np.zeros(q)
-    u2 = np.zeros(q)
-    trace = ConvergenceTrace()
-    start = time.perf_counter()
-    for it in range(1, cfg.max_iters + 1):
-        prev = m
-        m1 = prox @ (rho * m - rho * u1 + utf)
-        m2 = simplex_project(m - u2)
-        m = 0.5 * (m1 + u1 + m2 + u2)
-        u1 = u1 + alpha * (m1 - m)
-        u2 = u2 + alpha * (m2 - m)
-        err = _error_metric(m, reference_m, prev)
-        obj = float(np.linalg.norm(f - u @ m))
-        trace.record(it, err, obj, time.perf_counter() - start)
-        if err <= cfg.tol:
-            trace.converged = True
-            break
-    return m, trace
+    return _iterate(steps(m), m, cfg, reference_m)
 
 
 def admm_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
@@ -300,34 +299,27 @@ def admm_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     uinv = np.eye(q) - closest_ancestor_matrix(tree)
     prox = np.linalg.inv(rho * np.eye(q) + uinv @ uinv.T)
 
-    z = np.zeros(q)
-    t = 0.0
-    u_z = np.zeros(q)
-    u_gz = np.zeros(q)
-    u_t = 0.0
-    u_gt = 0.0
-    m = np.zeros(q)
-    trace = ConvergenceTrace()
-    start = time.perf_counter()
-    for it in range(1, cfg.max_iters + 1):
-        prev = m
-        x_z = prox @ (rho * (z - u_z))
-        x_t = (rho * t - rho * u_t - 1.0) / rho
-        x_gz, x_gt = polyhedron_project(z - u_gz, t - u_gt, n)
-        z = 0.5 * (x_z + u_z + x_gz + u_gz)
-        u_z = u_z + alpha * (x_z - z)
-        u_gz = u_gz + alpha * (x_gz - z)
-        t = 0.5 * (x_t + u_t + x_gt + u_gt)
-        u_t = u_t + alpha * (x_t - t)
-        u_gt = u_gt + alpha * (x_gt - t)
-        m, _ = ops.recover_fractions(z)
-        err = _error_metric(m, reference_m, prev)
-        obj = t + 0.5 * float(np.sum(ops.diff_parent(z) ** 2))
-        trace.record(it, err, obj, time.perf_counter() - start)
-        if err <= cfg.tol:
-            trace.converged = True
-            break
-    return z, t, m, trace
+    def steps():
+        z = np.zeros(q)
+        t = 0.0
+        u_z = np.zeros(q)
+        u_gz = np.zeros(q)
+        u_t = 0.0
+        u_gt = 0.0
+        while True:
+            x_z = prox @ (rho * (z - u_z))
+            x_t = (rho * t - rho * u_t - 1.0) / rho
+            x_gz, x_gt = polyhedron_project(z - u_gz, t - u_gt, n)
+            z = 0.5 * (x_z + u_z + x_gz + u_gz)
+            u_z = u_z + alpha * (x_z - z)
+            u_gz = u_gz + alpha * (x_gz - z)
+            t = 0.5 * (x_t + u_t + x_gt + u_gt)
+            u_t = u_t + alpha * (x_t - t)
+            u_gt = u_gt + alpha * (x_gt - t)
+            m, _ = ops.recover_fractions(z)
+            yield t + 0.5 * float(np.sum(ops.diff_parent(z) ** 2)), (z, t, m)
+
+    return _iterate(steps(), np.zeros(q), cfg, reference_m)
 
 
 def default_step(ops: TreeOps, dual: bool = False) -> float:
@@ -348,22 +340,15 @@ def pgd_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     if cfg is None:
         cfg = SolverConfig(alpha=default_step(ops))
     alpha = cfg.alpha
+
+    def steps(m):
+        while True:
+            residual = f - ops.subtree_sum(m)
+            m = simplex_project(m + alpha * ops.ancestor_cumsum(residual))
+            yield float(np.linalg.norm(f - ops.subtree_sum(m))), (m,)
+
     m = simplex_project(np.zeros(tree.q))
-    trace = ConvergenceTrace()
-    guard = _DivergenceGuard()
-    start = time.perf_counter()
-    for it in range(1, cfg.max_iters + 1):
-        prev = m
-        residual = f - ops.subtree_sum(m)
-        m = simplex_project(m + alpha * ops.ancestor_cumsum(residual))
-        err = _error_metric(m, reference_m, prev)
-        obj = float(np.linalg.norm(f - ops.subtree_sum(m)))
-        trace.record(it, err, obj, time.perf_counter() - start)
-        guard.check(obj)
-        if err <= cfg.tol:
-            trace.converged = True
-            break
-    return m, trace
+    return _iterate(steps(m), m, cfg, reference_m, _DivergenceGuard())
 
 
 def pgd_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
@@ -381,33 +366,24 @@ def pgd_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
         # the inverse ancestry factor; estimate it the same way.
         cfg = SolverConfig(alpha=default_step(ops, dual=True))
     alpha = cfg.alpha
-    z = np.zeros(tree.q)
-    t = float(np.max(n))
-    m = np.zeros(tree.q)
-    trace = ConvergenceTrace()
-    guard = _DivergenceGuard()
-    start = time.perf_counter()
-    for it in range(1, cfg.max_iters + 1):
-        prev = m
-        z = z - alpha * ops.subtract_children(ops.diff_parent(z))
-        t = t - alpha
-        z, t = polyhedron_project(z, t, n)
-        m, _ = ops.recover_fractions(z)
-        err = _error_metric(m, reference_m, prev)
-        obj = t + 0.5 * float(np.sum(ops.diff_parent(z) ** 2))
-        trace.record(it, err, obj, time.perf_counter() - start)
-        guard.check(obj)
-        if err <= cfg.tol:
-            trace.converged = True
-            break
-    return z, t, m, trace
+
+    def steps():
+        z = np.zeros(tree.q)
+        t = float(np.max(n))
+        while True:
+            z = z - alpha * ops.subtract_children(ops.diff_parent(z))
+            t = t - alpha
+            z, t = polyhedron_project(z, t, n)
+            m, _ = ops.recover_fractions(z)
+            yield t + 0.5 * float(np.sum(ops.diff_parent(z) ** 2)), (z, t, m)
+
+    return _iterate(steps(), np.zeros(tree.q), cfg, reference_m, _DivergenceGuard())
 
 
-def _dual_lmax(ops: TreeOps, iters=60, seed=0):
+def _dual_lmax(ops: TreeOps):
     """Power-iteration estimate of the largest eigenvalue of the dual
     quadratic's operator."""
-    return _power_lmax(lambda x: ops.subtract_children(ops.diff_parent(x)),
-                       ops.q, iters, seed)
+    return _power_lmax(lambda x: ops.subtract_children(ops.diff_parent(x)), ops.q)
 
 
 SOLVERS = {
@@ -418,54 +394,39 @@ SOLVERS = {
 }
 
 
-def _run_solver(solver_id, tree, fhat_col, cfg, reference_m):
-    fn = SOLVERS[solver_id]
-    try:
-        out = fn(tree, fhat_col, cfg, reference_m=reference_m)
-    except RuntimeError:
-        return None  # diverging grid point; treat as a failed probe
-    return out[-1]  # trace is always last
-
-
 def autotune(solver_id, tree: RootedTree, fhat_col, grid,
              reference_m=None, return_trace=False):
     """Pick the grid config reaching the config's tolerance in the fewest
     iterations on this instance; ties go to the earlier grid entry.
 
     If nothing converges, the config with the smallest final error is
-    returned and a warning is emitted.  With ``return_trace=True`` the
-    winning probe's trace comes back too, saving a redundant re-run.
+    returned and a warning is emitted.  A grid point that raises, or whose
+    final error is not finite, has diverged and is never picked.  With
+    ``return_trace=True`` the winning probe's trace comes back too, saving a
+    redundant re-run.
     """
     if solver_id not in SOLVERS:
         raise ValueError(f"unknown solver {solver_id!r}; choose from {sorted(SOLVERS)}")
     grid = list(grid)
     if not grid:
         raise ValueError("autotune grid is empty")
-    best_cfg = None
-    best_iters = None
-    best_trace = None
-    fallback_cfg = None
-    fallback_trace = None
-    fallback_err = np.inf
+    runs = []
     for cfg in grid:
-        trace = _run_solver(solver_id, tree, fhat_col, cfg, reference_m)
-        if trace is None:
+        try:
+            trace = SOLVERS[solver_id](tree, fhat_col, cfg, reference_m=reference_m)[-1]
+        except RuntimeError:
             continue
-        its = trace.iterations_to(cfg.tol)
-        if its is not None and (best_iters is None or its < best_iters):
-            best_iters = its
-            best_cfg = cfg
-            best_trace = trace
-        if trace.final_error < fallback_err:
-            fallback_err = trace.final_error
-            fallback_cfg = cfg
-            fallback_trace = trace
-    if best_cfg is None:
-        if fallback_cfg is None:
-            raise RuntimeError(f"every {solver_id} grid point diverged")
+        if trace.final_error < np.inf:
+            runs.append((cfg, trace))
+    if not runs:
+        raise RuntimeError(f"every {solver_id} grid point diverged")
+    reached = [run for run in runs if run[1].converged]
+    if reached:
+        cfg, trace = min(reached, key=lambda run: run[1].iterations_to(run[0].tol))
+    else:
         warnings.warn(f"autotune: no grid point converged for {solver_id}; "
                       "returning the best-effort config")
-        best_cfg, best_trace = fallback_cfg, fallback_trace
+        cfg, trace = min(runs, key=lambda run: run[1].final_error)
     if return_trace:
-        return best_cfg, best_trace
-    return best_cfg
+        return cfg, trace
+    return cfg

@@ -107,11 +107,9 @@ def load_matrix(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def save_matrix(mat, path, header=None):
+def save_matrix(mat, path):
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
         for row in mat:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 

@@ -20,10 +20,11 @@ their Prüfer code, so the output is identical for any worker count.
   abandonment, then a two-sided screen.  Exact scores come from
   ``projection._sweep`` (behind ``project``) on a :class:`RootedTree`.
 
-Workers: the caller expands whole levels until 4 rows per worker are open,
-deals them out round-robin in (bound, parent row) order and walks each
-share in a forked child.  Every bound is widened by a relative
-``_SCREEN_SLACK``, and every reported number comes from the scalar core.
+Workers: at most one per CPU.  The caller expands whole levels until 4
+rows per worker are open, deals them out round-robin in the order the
+expansion left them, (bound, fit), and walks each share in a forked child.
+Every bound is widened by a relative ``_SCREEN_SLACK``, and every reported
+number comes from the scalar core.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 import multiprocessing as mp
+import os
 import time
 from dataclasses import dataclass
 
@@ -387,12 +389,11 @@ def _grow(rows, src, a, u, bound):
 
 
 def _deal(rows, workers):
-    """At most ``workers`` shares of the open rows, dealt round-robin in
-    (bound, parent row) order."""
-    keys = [rows.parent[:, v] for v in range(rows.parent.shape[1] - 1, 0, -1)]
-    order = np.lexsort(keys + [rows.bound.sum(axis=1)])
-    parts = max(1, min(workers, len(order)))
-    return [rows.take(order[i::parts]) for i in range(parts)]
+    """At most ``workers`` shares of the open rows, dealt round-robin in the
+    order :meth:`_Walk._expand` left them, (bound, fit), so that each share
+    stays in bound order."""
+    parts = max(1, min(workers, len(rows)))
+    return [rows.take(slice(i, None, parts)) for i in range(parts)]
 
 
 class _Walk:
@@ -611,12 +612,14 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
     """Score every labeled rooted tree on q nodes and report the best k.
 
     Deterministic for any worker count: ranking is by objective with
-    lexicographic Prüfer-code tie-break.  Refuses q > 11 unless ``force``
-    (the tree count grows as q^(q-2)).
+    lexicographic Prüfer-code tie-break.  At most one worker per CPU is
+    used.  Refuses q > 11 unless ``force`` (the tree count grows as
+    q^(q-2)).
     """
     q = spec.q
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     if q > SEARCH_Q_LIMIT and not force:
         raise ValueError(
             f"q={q} means {q}^{q - 2} = {count_trees(q)} trees; "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ppmproj import (
+    ConvergenceTrace,
     RootedTree,
     SolverConfig,
     admm_dual,
@@ -19,12 +20,24 @@ from ppmproj import (
     project,
     simplex_project,
 )
-from ppmproj.baselines import TreeOps, _simplex_project_sorted
+from ppmproj.baselines import TreeOps
 from ppmproj.generate import random_instance, random_labeled_tree
 
 
 def chain(q):
     return RootedTree.from_parent_array([0] + list(range(1, q)))
+
+
+def simplex_project_sorted(v):
+    """Sort-based simplex projection; validation twin of simplex_project."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, v.size + 1)
+    valid = u > css / ks
+    k = int(np.max(ks[valid]))
+    tau = css[k - 1] / k
+    return np.maximum(v - tau, 0.0)
 
 
 def polyhedron_qp_oracle(a, b, n):
@@ -71,7 +84,7 @@ class TestSimplexProject:
             assert np.all(x >= 0)
             assert x.sum() == pytest.approx(1.0, abs=1e-12)
             assert simplex_project(x) == pytest.approx(x, abs=1e-12)
-            assert x == pytest.approx(_simplex_project_sorted(v), abs=1e-12)
+            assert x == pytest.approx(simplex_project_sorted(v), abs=1e-12)
 
 
 class TestPolyhedronProject:
@@ -330,12 +343,44 @@ class TestAutotune:
                            reference_m=np.array([0.3, 0.7]))
         assert cfg is grid[0]
 
+    def test_fallback_is_smallest_final_error_first_in_grid(self):
+        ref = np.array([0.3, 0.7])
+        grid = [SolverConfig(rho=r, alpha=1.0, max_iters=3, tol=1e-14)
+                for r in (5.0, 1.0, 1.0, 0.2)]
+        errors = [admm_primal(chain(2), [0.5, 0.7], cfg, reference_m=ref)[1].final_error
+                  for cfg in grid]
+        with pytest.warns(UserWarning, match="no grid point converged"):
+            cfg = autotune("admm-primal", chain(2), [0.5, 0.7], grid, reference_m=ref)
+        assert cfg is grid[errors.index(min(errors))]
+
+    def test_diverging_points_are_skipped(self):
+        from ppmproj.baselines import _dual_lmax
+        rng = np.random.default_rng(8)
+        tree = random_labeled_tree(20, rng)
+        f = rng.standard_normal(20)
+        diverging = SolverConfig(alpha=2.0, max_iters=2000, tol=1e-9)
+        with pytest.raises(RuntimeError, match="every pgd-dual grid point diverged"):
+            autotune("pgd-dual", tree, f, [diverging])
+        step = SolverConfig(alpha=0.99 / _dual_lmax(TreeOps(tree)), max_iters=5000, tol=1e-5)
+        cfg, trace = autotune("pgd-dual", tree, f, [diverging, step], return_trace=True)
+        assert cfg is step
+        assert trace.converged
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
             autotune("newton", chain(2), [0.5, 0.7], [SolverConfig()])
 
 
 class TestTraceExport:
+    def test_first_reach_of_a_tolerance(self):
+        trace = ConvergenceTrace()
+        for it, (err, elapsed) in enumerate([(1.0, 0.1), (0.01, 0.2), (0.5, 0.3),
+                                             (0.001, 0.4)], start=1):
+            trace.record(it, err, 0.0, elapsed)
+        assert (trace.iterations_to(0.05), trace.time_to(0.05)) == (2, 0.2)
+        assert (trace.iterations_to(0.001), trace.time_to(0.001)) == (4, 0.4)
+        assert (trace.iterations_to(1e-4), trace.time_to(1e-4)) == (None, None)
+
     def test_csv_schema(self):
         _, trace = admm_primal(chain(2), [0.5, 0.7],
                                SolverConfig(max_iters=5, tol=1e-15))
@@ -362,3 +407,12 @@ class TestSolverConfig:
             SolverConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        # A run of no iterations has no iterate to return and no trace.
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            SolverConfig(max_iters=max_iters)
+        for solver in (admm_primal, admm_dual, pgd_primal, pgd_dual):
+            *_, trace = solver(chain(3), [0.9, 0.5, 0.2], SolverConfig(max_iters=1))
+            assert trace.iterations == [1]

@@ -435,6 +435,8 @@ class TestWorkerCount:
     def test_one_child_per_share(self, q, workers, monkeypatch):
         context = _RecordingContext()
         monkeypatch.setattr(search_mod.mp, "get_context", lambda method: context)
+        # Shares are capped at the CPU count; 8 keeps every case's count on any machine.
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 8)
         deal = search_mod._deal
         shares = []
 
@@ -452,6 +454,20 @@ class TestWorkerCount:
         if (q, workers) == (5, 2):
             assert context.children == 2
         assert [r.code for r in report.ranked] == [r.code for r in search_all(spec).ranked]
+
+    @pytest.mark.parametrize("cpus, workers", [(None, 10 ** 6), (1, 10 ** 6), (2, 10 ** 6),
+                                               (8, 10 ** 6), (8, 8), (8, 3)])
+    def test_children_capped_at_cpu_count(self, cpus, workers, monkeypatch):
+        context = _RecordingContext()
+        monkeypatch.setattr(search_mod.mp, "get_context", lambda method: context)
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
+        spec = _tiny_spec(7)
+        report = search_all(spec, workers=workers)
+        shares = min(workers, cpus or 1)
+        # A single share runs in the calling process.
+        assert context.children == (shares if shares > 1 else 0)
+        assert [(r.code, r.objective) for r in report.ranked] == \
+            [(r.code, r.objective) for r in search_all(spec).ranked]
 
     def test_children_are_joined(self):
         report = search_all(_tiny_spec(6), workers=2)
