@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import (RootedTree, ancestor_sums, ancestry_matrix,
+from .tree import (RootedTree, _column, ancestor_sums, ancestry_matrix,
                    closest_ancestor_matrix)
 
 
@@ -263,7 +263,7 @@ def admm_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     cap was hit before the tolerance.
     """
     cfg = cfg or SolverConfig()
-    f = np.asarray(fhat_col, dtype=float).reshape(-1)
+    f = _column(fhat_col, tree.q)
     q = tree.q
     u = ancestry_matrix(tree).astype(float)
     rho, alpha = cfg.rho, cfg.alpha
@@ -290,10 +290,9 @@ def admm_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     """Three-way consensus ADMM on the dual: quadratic prox, linear-in-t
     prox, and the polyhedron projection.  Returns ``(z, t, m, trace)``."""
     cfg = cfg or SolverConfig()
-    f = np.asarray(fhat_col, dtype=float).reshape(-1)
     q = tree.q
     ops = TreeOps(tree)
-    n = ancestor_sums(tree, f)
+    n = ancestor_sums(tree, fhat_col)
     rho, alpha = cfg.rho, cfg.alpha
     # U^-1 = I - T, with T the closest-ancestor adjacency; prox inverse cached.
     uinv = np.eye(q) - closest_ancestor_matrix(tree)
@@ -335,7 +334,7 @@ def pgd_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     Raises RuntimeError when the objective rises for 10 straight iterations,
     which signals a step size above the descent range.
     """
-    f = np.asarray(fhat_col, dtype=float).reshape(-1)
+    f = _column(fhat_col, tree.q)
     ops = TreeOps(tree)
     if cfg is None:
         cfg = SolverConfig(alpha=default_step(ops))
@@ -358,9 +357,8 @@ def pgd_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
 
     Returns ``(z, t, m, trace)``.
     """
-    f = np.asarray(fhat_col, dtype=float).reshape(-1)
     ops = TreeOps(tree)
-    n = ancestor_sums(tree, f)
+    n = ancestor_sums(tree, fhat_col)
     if cfg is None:
         # The dual quadratic's curvature is bounded by the Gram spectrum of
         # the inverse ancestry factor; estimate it the same way.

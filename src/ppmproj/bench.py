@@ -46,12 +46,12 @@ def trial_seed(base_seed: int, size: int, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def make_instance(base_seed: int, size: int, trial: int, cmin=1, cmax=4, p=1):
+def make_instance(base_seed: int, size: int, trial: int, cmin=1, cmax=4):
     seed = trial_seed(base_seed, size, trial)
     rng = np.random.default_rng(seed)
     tree = galton_watson_tree(GaltonWatsonSpec(q=size, cmin=cmin, cmax=cmax),
                               rng=rng)
-    fhat = rng.standard_normal((size, p))
+    fhat = rng.standard_normal((size, 1))
     return seed, tree, fhat
 
 
@@ -65,7 +65,7 @@ def default_grid(solver_id, tree, tol, max_iters):
             for s in (1.0, 0.5)]
 
 
-def run_bench(sizes, solvers, trials, seed, cmin=1, cmax=4, p=1,
+def run_bench(sizes, solvers, trials, seed, cmin=1, cmax=4,
               tol=1e-3, max_iters=30000, out=None):
     """Run the protocol and return (rows, summary).
 
@@ -81,7 +81,7 @@ def run_bench(sizes, solvers, trials, seed, cmin=1, cmax=4, p=1,
     for size in sizes:
         for trial in range(trials):
             inst_seed, tree, fhat = make_instance(seed, size, trial,
-                                                  cmin=cmin, cmax=cmax, p=p)
+                                                  cmin=cmin, cmax=cmax)
             fcol = fhat[:, 0]
             t0 = time.perf_counter()
             ref = project(tree, fcol)

@@ -17,7 +17,7 @@ from . import io as pio
 from .bench import run_bench
 from .generate import GaltonWatsonSpec, galton_watson_tree, random_instance
 from .projection import DegeneracyError, project_matrix
-from .search import SEARCH_Q_LIMIT, SearchReport, SearchSpec, search_all
+from .search import SCALINGS, SEARCH_Q_LIMIT, SearchReport, SearchSpec, search_all
 from .tree import TreeInputError, count_trees, decode_prufer, encode_prufer
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ def build_parser():
     s.add_argument("matrix", help="frequency matrix CSV")
     s.add_argument("-o", "--out", help="output JSON path (default stdout)")
     s.add_argument("--k", type=int, default=1, help="number of trees to report")
-    s.add_argument("--j", default="identity", choices=["identity", "log1p", "square"],
+    s.add_argument("--j", default="identity", choices=sorted(SCALINGS),
                    help="cost scaling")
     s.add_argument("--q-penalty", default="zero",
                    help="topology penalty: 'zero' or 'leaves:<weight>'")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import RootedTree, ancestry_matrix
+from .tree import RootedTree, _column, ancestry_matrix
 
 MAX_ORACLE_Q = 14
 _KKT_TOL = 1e-9
@@ -45,9 +45,7 @@ def oracle_project(tree: RootedTree, fhat_col) -> OracleSolution:
     """
     q = tree.q
     _check_size(q)
-    f = np.asarray(fhat_col, dtype=float).reshape(-1)
-    if f.shape != (q,):
-        raise ValueError(f"expected length-{q} column, got {f.shape}")
+    f = _column(fhat_col, q)
     u = ancestry_matrix(tree).astype(float)
     utu = u.T @ u
     utf = u.T @ f
@@ -94,7 +92,7 @@ def oracle_dual_at_t(tree: RootedTree, sums, t: float):
     """
     q = tree.q
     _check_size(q)
-    n = np.asarray(sums, dtype=float).reshape(-1)
+    n = _column(sums, q)
     parent = tree.parent
 
     # Laplacian of the edge objective, with the root anchored to zero.

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tree import RootedTree
+from .tree import RootedTree, _column
 
 LSECOND_GUARD = 1e-14
 # A free node whose slope is within this of 1 moves parallel to its
@@ -417,12 +417,7 @@ def project(tree: RootedTree, fhat_col, keep_path=False,
     as ``counters`` accumulates, over the slope passes, the free components,
     free nodes visited, reductions, star solves and child edges scanned.
     """
-    q = tree.q
-    f = np.asarray(fhat_col, dtype=float).reshape(-1)
-    if f.shape != (q,):
-        raise ValueError(f"expected a length-{q} vector, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("frequency vector contains non-finite entries")
+    f = _column(fhat_col, tree.q)
     path = [] if keep_path else None
     t_star, z, m, fv, cost2, segments = _sweep(
         tree, [0.0] + f.tolist(), path=path, counters=counters)

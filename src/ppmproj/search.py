@@ -9,7 +9,7 @@ their Prüfer code, so the output is identical for any worker count.
 
 * bound: :func:`_child_bounds` carries :func:`_lower_bound_block` over to
   forests, per component, and updates it per child in O(1) per column; a
-  partial tree's penalty is bounded by :func:`_penalty_floor`;
+  partial tree's penalty is bounded by the floor from :func:`resolve_penalty`;
 * first bar: before the walk, a beam of the 4k lowest-bound rows per level
   reaches 4k trees, which are scored exactly;
 * walk: depth first, in steps of at most ``_BLOCK`` candidate rows, lowest
@@ -56,15 +56,16 @@ def _square(x):
 
 
 SCALINGS = {
-    "identity": _identity,
-    "log1p": math.log1p,
-    "square": _square,
+    "identity": (_identity, _identity),
+    "log1p": (math.log1p, np.log1p),
+    "square": (_square, _square),
 }
 
 
 def resolve_scaling(spec):
+    """The scaling ``spec`` as its ``(scalar, entrywise)`` pair of functions."""
     if callable(spec):
-        return spec
+        return spec, np.vectorize(spec, otypes=[float])
     try:
         return SCALINGS[spec]
     except KeyError:
@@ -73,24 +74,17 @@ def resolve_scaling(spec):
             "or pass a callable") from None
 
 
-def _scaling_block(jfn):
-    """``jfn`` applied entrywise to an array."""
-    if jfn is math.log1p:
-        return np.log1p
-    if jfn is _identity or jfn is _square:
-        return jfn
-    return np.vectorize(jfn, otypes=[float])
-
-
-def resolve_penalty(spec):
-    """Penalty as a callable ``penalty(parent) -> values`` on a (B, q+1)
-    block of parent rows (column 0 unused, 0 at the root); it returns one
-    float per row."""
+def resolve_penalty(spec, q):
+    """The penalty ``spec`` as ``(penalty, floor)``: ``penalty(parent)``
+    gives one float per row of a (B, q+1) block of parent rows (column 0
+    unused, 0 at the root), and no tree on q nodes has a smaller penalty
+    than ``floor``, which is what the lower objective of a partial tree adds."""
     if callable(spec):
-        return lambda parent: np.array(
-            [spec(_tree_from_parent(row)) for row in parent.tolist()], dtype=float)
+        return (lambda parent: np.array(
+            [spec(_tree_from_parent(row)) for row in parent.tolist()], dtype=float),
+            -math.inf)
     if spec == "zero":
-        return lambda parent: np.zeros(len(parent))
+        return (lambda parent: np.zeros(len(parent))), 0.0
     if not (isinstance(spec, str) and spec.startswith("leaves:")):
         raise ValueError(
             f"unknown penalty {spec!r}; use 'zero', 'leaves:<weight>' or a callable")
@@ -100,7 +94,9 @@ def resolve_penalty(spec):
         raise ValueError(f"penalty weight must be a number, got {spec!r}") from None
     if not math.isfinite(weight):
         raise ValueError(f"penalty weight must be finite, got {spec!r}")
-    return lambda parent: weight * _leaf_counts(parent)
+    # Every tree has between 1 and max(1, q - 1) leaves.
+    floor = weight if weight >= 0 else weight * max(1, q - 1)
+    return (lambda parent: weight * _leaf_counts(parent)), floor
 
 
 def _leaf_counts(parent):
@@ -138,7 +134,7 @@ class SearchSpec:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         resolve_scaling(self.scaling)
-        resolve_penalty(self.penalty)
+        resolve_penalty(self.penalty, self.q)
 
     @property
     def q(self):
@@ -174,8 +170,9 @@ class SearchReport:
 
 def objective(cost: float, tree: RootedTree, spec: SearchSpec) -> float:
     """Scalar search objective: scaled projection cost plus topology penalty."""
-    penalty = resolve_penalty(spec.penalty)
-    return resolve_scaling(spec.scaling)(cost) + float(penalty(np.array([tree.parent]))[0])
+    jfn, _ = resolve_scaling(spec.scaling)
+    penalty, _ = resolve_penalty(spec.penalty, tree.q)
+    return jfn(cost) + float(penalty(np.array([tree.parent]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +235,6 @@ def _sweep_rows(rows, parent, depth, fblock, tail, pens, bar, jfn_block):
                                  jfn_block) <= bar
         rows, swept = rows[alive], swept[alive]
     return rows, swept, flagged
-
-
-def _penalty_floor(spec, q):
-    """A value no tree on q nodes has a smaller penalty than, for the penalty
-    ``spec``: what the lower objective of a partial tree adds."""
-    if callable(spec):
-        return -math.inf
-    if spec == "zero":
-        return 0.0
-    weight = float(spec.split(":", 1)[1])
-    # Every tree has between 1 and max(1, q - 1) leaves.
-    return weight if weight >= 0 else weight * max(1, q - 1)
 
 
 @dataclass
@@ -405,10 +390,8 @@ class _Walk:
         self.k = spec.k
         self.fcols = [[0.0] + spec.fhat[:, s].tolist() for s in range(spec.fhat.shape[1])]
         self.fblock = np.array(self.fcols)
-        self.jfn = resolve_scaling(spec.scaling)
-        self.jfn_block = _scaling_block(self.jfn)
-        self.penalty = resolve_penalty(spec.penalty)
-        self.floor = _penalty_floor(spec.penalty, q)
+        self.jfn, self.jfn_block = resolve_scaling(spec.scaling)
+        self.penalty, self.floor = resolve_penalty(spec.penalty, q)
         self.above = np.maximum(self.fblock.T, 0.0)
         self.above[1] = 1.0
         self.fit = self.above.sum(axis=1)

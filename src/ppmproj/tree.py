@@ -95,20 +95,9 @@ class RootedTree:
         return False
 
     def to_text(self) -> str:
-        """One line of q space-separated parent labels, 0 for the root."""
+        """One line of q space-separated parent labels, 0 for the root: the
+        format :func:`ppmproj.io.load_tree` reads."""
         return " ".join(str(p) for p in self.parent[1:])
-
-    @staticmethod
-    def from_text(text: str) -> "RootedTree":
-        """Parse the one-line parent-array format (inverse of :meth:`to_text`)."""
-        fields = text.split()
-        if not fields:
-            raise TreeInputError("empty tree description")
-        try:
-            parents = [int(f) for f in fields]
-        except ValueError as exc:
-            raise TreeInputError(f"non-integer entry in tree description: {exc}") from None
-        return RootedTree.from_parent_array(parents)
 
 
 def _tree_from_parent(parent) -> RootedTree:
@@ -221,6 +210,17 @@ def encode_prufer(tree: RootedTree) -> tuple:
     return tuple(code)
 
 
+def _column(values, q: int) -> np.ndarray:
+    """A frequency column as a flat float array of length q; raises
+    ValueError for any other length or a non-finite entry."""
+    f = np.asarray(values, dtype=float).reshape(-1)
+    if f.shape != (q,):
+        raise ValueError(f"expected a length-{q} vector, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("frequency vector contains non-finite entries")
+    return f
+
+
 def ancestor_sums(tree: RootedTree, fhat_col) -> np.ndarray:
     """Cumulative frequency sums along ancestry: N_i = sum of F̂ over node i
     and all its ancestors.
@@ -229,11 +229,7 @@ def ancestor_sums(tree: RootedTree, fhat_col) -> np.ndarray:
     per node; O(q).
     """
     q = tree.q
-    f = np.asarray(fhat_col, dtype=float)
-    if f.shape != (q,):
-        raise ValueError(f"expected a length-{q} vector, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("frequency vector contains non-finite entries")
+    f = _column(fhat_col, q)
     n = np.empty(q)
     parent = tree.parent
     for v in tree.bfs_order():

@@ -22,7 +22,6 @@ from ppmproj.search import (
     _SCREEN_SLACK,
     _evaluate_tree,
     _lower_bound_block,
-    _penalty_floor,
     _Walk,
     resolve_penalty,
     resolve_scaling,
@@ -49,8 +48,8 @@ def reference_ranking(spec):
     """Every tree scored by ``_evaluate_tree``, sorted by (objective, code)."""
     q = spec.q
     fcols = [[0.0] + spec.fhat[:, s].tolist() for s in range(spec.fhat.shape[1])]
-    jfn = resolve_scaling(spec.scaling)
-    penalty = resolve_penalty(spec.penalty)
+    jfn, _ = resolve_scaling(spec.scaling)
+    penalty, _ = resolve_penalty(spec.penalty, q)
     rows = []
     for code in map(tuple, all_codes(q).tolist()):
         tree = decode_prufer(code, q)
@@ -260,10 +259,10 @@ class TestPartialBound:
         code = data.draw(st.lists(st.integers(1, q), min_size=max(q - 2, 0),
                                   max_size=max(q - 2, 0)))
         parent = np.array([decode_prufer(code, q).parent])
-        spec = f"leaves:{weight}"
-        assert _penalty_floor(spec, q) <= resolve_penalty(spec)(parent)[0]
-        assert _penalty_floor("zero", q) == 0.0
-        assert _penalty_floor(custom_penalty, q) == -math.inf
+        penalty, floor = resolve_penalty(f"leaves:{weight}", q)
+        assert floor <= penalty(parent)[0]
+        assert resolve_penalty("zero", q)[1] == 0.0
+        assert resolve_penalty(custom_penalty, q)[1] == -math.inf
 
 
 class TestScreen:

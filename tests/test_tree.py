@@ -1,4 +1,5 @@
-"""Tests for rooted trees, Prüfer codes, ancestor sums, and ancestry matrices."""
+"""Tests for rooted trees, Prüfer codes, ancestor sums, ancestry matrices,
+and the frequency-column check every solver entry point shares."""
 
 import itertools
 
@@ -8,7 +9,10 @@ import pytest
 from ppmproj import (
     GaltonWatsonSpec,
     RootedTree,
+    SolverConfig,
     TreeInputError,
+    admm_dual,
+    admm_primal,
     ancestor_sums,
     ancestry_matrix,
     closest_ancestor_matrix,
@@ -16,6 +20,11 @@ from ppmproj import (
     decode_prufer,
     encode_prufer,
     galton_watson_tree,
+    oracle_dual_at_t,
+    oracle_project,
+    pgd_dual,
+    pgd_primal,
+    project,
 )
 from ppmproj.tree import _tree_from_parent
 
@@ -102,13 +111,13 @@ class TestRootedTree:
             assert fast.bfs_order() == checked.bfs_order()
 
     def test_text_round_trip(self):
-        t = RootedTree.from_text("0 1 1 2")
+        t = RootedTree.from_parent_array([0, 1, 1, 2])
         assert t.parent == (0, 0, 1, 1, 2)
         assert t.to_text() == "0 1 1 2"
-        assert RootedTree.from_text(t.to_text()) == t
+        assert RootedTree.from_parent_array([int(x) for x in t.to_text().split()]) == t
 
     def test_is_ancestor(self):
-        t = RootedTree.from_text("0 1 1 2")
+        t = RootedTree.from_parent_array([0, 1, 1, 2])
         assert t.is_ancestor(1, 4)
         assert t.is_ancestor(2, 4)
         assert t.is_ancestor(4, 4)
@@ -266,6 +275,31 @@ class TestAncestorSums:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ancestor_sums(chain(2), [np.nan, 0.0])
+
+
+FEW_ITERS = SolverConfig(max_iters=5)
+COLUMN_ENTRY_POINTS = {
+    "project": project,
+    "ancestor_sums": ancestor_sums,
+    "oracle_project": oracle_project,
+    "oracle_dual_at_t": lambda tree, col: oracle_dual_at_t(tree, col, 1.0),
+    "admm_primal": lambda tree, col: admm_primal(tree, col, FEW_ITERS),
+    "admm_dual": lambda tree, col: admm_dual(tree, col, FEW_ITERS),
+    "pgd_primal": lambda tree, col: pgd_primal(tree, col, FEW_ITERS),
+    "pgd_dual": lambda tree, col: pgd_dual(tree, col, FEW_ITERS),
+}
+
+
+@pytest.mark.parametrize("column, message", [
+    ([0.5, np.nan, 0.2], "non-finite"),
+    ([0.5, np.inf, 0.2], "non-finite"),
+    ([0.5], "length-3"),
+], ids=["nan", "inf", "length"])
+@pytest.mark.parametrize("entry", list(COLUMN_ENTRY_POINTS))
+def test_column_check_at_every_entry_point(entry, column, message):
+    tree = RootedTree.from_parent_array([0, 1, 1])
+    with pytest.raises(ValueError, match=message):
+        COLUMN_ENTRY_POINTS[entry](tree, column)
 
 
 class TestAncestryMatrix:
