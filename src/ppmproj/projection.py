@@ -324,6 +324,7 @@ def _sweep_block(parent, depth, f):
     up[1:] = pos[rows, parent[rows, order]].T
     fcol = np.zeros((q + 1, b))
     fcol[1:] = f[order].T
+    del order, pos
 
     cost2 = np.full(b, np.nan)
     uncertified = np.ones(b, dtype=bool)
@@ -391,6 +392,8 @@ def _sweep_block(parent, depth, f):
         with np.errstate(invalid="ignore"):
             fixed[1:] |= pr >= best - _tie_tolerance_block(best)
             z += (best - t) * rate
+        # The segment's (q+1, B) arrays go before the next are made.
+        del s, a, one_s, rate, d, c, pr
         t = best
         lp = lp_next
         if finished.size:

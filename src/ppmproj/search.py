@@ -20,18 +20,19 @@ their Prüfer code, so the output is identical for any worker count.
   abandonment, then a two-sided screen.  Exact scores come from
   ``projection._sweep`` (behind ``project``) on a :class:`RootedTree`.
 
-Workers: at most one per CPU.  The caller expands whole levels until 4
-rows per worker are open, deals them out round-robin in the order the
-expansion left them, (bound, fit), and walks each share in a forked child.
-Every bound is widened by a relative ``_SCREEN_SLACK``, and every reported
-number comes from the scalar core.
+Workers: at most one per CPU.  The caller expands whole levels while a
+level fits in one step of the walk.  If the trees complete within those
+levels, the caller scores them itself and starts no child: at q=7 a fork
+costs more than the whole walk.  Otherwise it deals the open rows out
+round-robin in the order the expansion left them, (bound, fit), and walks
+each share in a forked child.  Every bound is widened by a relative
+``_SCREEN_SLACK``, and every reported number comes from the scalar core.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
@@ -158,7 +159,8 @@ class SearchReport:
     included; ``trees_swept`` the complete trees that passed the bound and
     reached the block sweep; ``trees_rescored`` those that passed the block
     screen and were scored again by the scalar sweep.  The three counts
-    depend on the worker count; the ranking does not."""
+    depend on the worker count and on whether the search forked, since
+    each share tightens its own bar; the ranking does not."""
 
     ranked: list
     trees_evaluated: int
@@ -323,43 +325,66 @@ def _child_bounds(rows, u, above, base):
     term and joins two components, in O(1) per column.
     """
     b, width = rows.parent.shape
-    p = len(base)
-    cols = np.arange(p)
+    cells = b * width
     lift = width * np.arange(b)[:, None]
     # Nodes without a parent scatter into the unused column 0.
-    slot = rows.parent + lift
-    kids = np.bincount((slot[..., None] * p + cols).ravel(),
-                       weights=np.broadcast_to(above, (b, width, p)).ravel(),
-                       minlength=b * width * p).reshape(b, width, p)
-    size = np.bincount(slot.ravel(), minlength=b * width).reshape(b, width)
-    size[:, 2:] += 1
-    gap = np.maximum(kids - above, 0.0)
-    term = gap * gap / np.maximum(size, 1)[..., None]
-    term[:, 0] = 0.0
-    group = rows.root + lift + np.where(rows.depth & 1, b * width, 0)
-    even, odd = np.bincount((group[..., None] * p + cols).ravel(), weights=term.ravel(),
-                            minlength=2 * b * width * p).reshape(2, b, width, p)
-    total = base + np.maximum(even, odd).sum(axis=1)
-
+    slot = (rows.parent + lift).ravel()
+    size = np.bincount(slot, minlength=cells)
+    size.reshape(b, width)[:, 2:] += 1
     src, a = np.nonzero(rows.root[:, 1:] != u)
     a += 1
-    # Flat positions of each child's a, of the root r of a's component and of u.
-    at = src * width
-    pa = at + a
-    pr = at + rows.root.ravel()[pa]
-    pu = at + u
-    even, odd = even.reshape(-1, p), odd.reshape(-1, p)
-    joined_even, joined_odd, moved, hung_odd = even[pr], odd[pr], even[pu], odd[pu]
-    gap = np.maximum(kids.reshape(-1, p)[pa] + (above[u] - above[a]), 0.0)
-    # u's component hangs at depth(a) + 1, so its odd depths take a's parity.
-    grown = (gap * gap / (size.ravel()[pa] + 1)[:, None] - term.reshape(-1, p)[pa]
-             + hung_odd)
-    flip = (rows.depth.ravel()[pa] & 1).astype(bool)[:, None]
-    even_sum = joined_even + np.where(flip, moved, grown)
-    odd_sum = joined_odd + np.where(flip, grown, moved)
-    bound = (total[src] + np.maximum(even_sum, odd_sum)
-             - np.maximum(joined_even, joined_odd) - np.maximum(moved, hung_odd))
-    return src, a, np.maximum(bound, 0.0)
+    # Flat positions of each child's a and of the root r of a's component.
+    pa = src * width + a
+    pr = rows.root.ravel()[pa].astype(np.intp)
+    hang = size[pa] + 1
+    flip = (rows.depth.ravel()[pa] & 1).astype(bool)
+    np.maximum(size, 1, out=size)
+    # Component sums are laid out (node, row), so that a row's sum over its
+    # components runs in node order; pr becomes a flat position there.
+    group = rows.root * np.intp(b)
+    group += np.arange(b)[:, None]
+    group += np.where(rows.depth & 1, cells, 0)
+    group = group.ravel()
+    pr *= b
+    pr += src
+    # One column at a time, so that no (B, q+1, p) or (C, p) temporary is
+    # built, and each array goes as soon as it is used.
+    bound = np.empty((len(src), len(base)))
+    for s, y in enumerate(above.T):
+        term = np.tile(y, b)
+        kids = np.bincount(slot, weights=term, minlength=cells)
+        np.subtract(kids, term, out=term)
+        np.maximum(term, 0.0, out=term)
+        term *= term
+        term /= size
+        term[::width] = 0.0
+        # The term of a once it holds u.
+        grown = y[a]
+        np.subtract(y[u], grown, out=grown)
+        grown += kids[pa]
+        del kids
+        np.maximum(grown, 0.0, out=grown)
+        grown *= grown
+        grown /= hang
+        grown -= term[pa]
+        even, odd = np.bincount(group, weights=term, minlength=2 * cells).reshape(2, cells)
+        del term
+        total = base[s] + np.maximum(even, odd).reshape(width, b).sum(axis=0)
+        joined_even, joined_odd = even[pr], odd[pr]
+        moved, hung_odd = even[u * b:(u + 1) * b][src], odd[u * b:(u + 1) * b][src]
+        del even, odd
+        # u's component hangs at depth(a) + 1, so its odd depths take a's parity.
+        grown += hung_odd
+        odd_sum = np.where(flip, grown, moved)
+        odd_sum += joined_odd
+        np.copyto(grown, moved, where=flip)
+        grown += joined_even
+        col = bound[:, s]
+        np.maximum(grown, odd_sum, out=col)
+        col += total[src]
+        col -= np.maximum(joined_even, joined_odd, out=joined_even)
+        col -= np.maximum(moved, hung_odd, out=moved)
+    return src, a, np.maximum(bound, 0.0, out=bound)
 
 
 def _grow(rows, src, a, u, bound):
@@ -376,7 +401,8 @@ def _grow(rows, src, a, u, bound):
 def _deal(rows, workers):
     """At most ``workers`` shares of the open rows, dealt round-robin in the
     order :meth:`_Walk._expand` left them, (bound, fit), so that each share
-    stays in bound order."""
+    stays in bound order.  When the caller forks, the rows are a level
+    larger than one step of the walk, so each share holds hundreds."""
     parts = max(1, min(workers, len(rows)))
     return [rows.take(slice(i, None, parts)) for i in range(parts)]
 
@@ -398,6 +424,8 @@ class _Walk:
         below = np.minimum(spec.fhat[1:], 0.0)
         self.base = (spec.fhat[0] - 1.0) ** 2 + (below * below).sum(axis=0)
         self.dtype = np.int8 if q < 127 else np.int16
+        # Rows per step of the walk: their children number at most _BLOCK.
+        self.step = max(1, _BLOCK // q)
         self.bar = math.inf
         self.top = []
         self.swept = self.rescored = self.bounded = 0
@@ -410,15 +438,16 @@ class _Walk:
         lowest bound first."""
         src, a, bound = _child_bounds(rows, u, self.above, self.base)
         self.bounded += len(src)
+        cost2 = bound.sum(axis=1)
         keep = np.arange(len(src))
         if self.floor > -math.inf:
-            keep = np.flatnonzero(self._lower(bound, self.floor) <= self.bar)
-        src, a, bound = src[keep], a[keep], bound[keep]
+            keep = np.flatnonzero(
+                _lower_objective(np.sqrt(cost2), self.floor, self.jfn_block) <= self.bar)
         # Equal bounds are common high in the walk; among them, parents of
         # small frequency, the tightest fit, go first.
-        fit = self.fit[rows.parent[src]].sum(axis=1) + self.fit[a]
-        order = np.lexsort((fit, bound.sum(axis=1)))
-        return _grow(rows, src[order], a[order], u, bound[order])
+        fit = self.fit[rows.parent].sum(axis=1)[src[keep]] + self.fit[a[keep]]
+        keep = keep[np.lexsort((fit, cost2[keep]))]
+        return _grow(rows, src[keep], a[keep], u, bound[keep])
 
     def _root(self):
         """The one row with no parent assigned: every node its own component."""
@@ -438,11 +467,12 @@ class _Walk:
                 for row, pen in zip(parent.tolist(), self.penalty(parent).tolist()))
             self.bar = objs[self.k - 1]
 
-    def open_rows(self, workers):
-        """Expand whole levels until 4 rows per worker are open or the trees
-        are complete; return the rows and the node they assign next."""
+    def open_rows(self):
+        """Expand whole levels while a level fits in one step of the walk,
+        ``_BLOCK // q`` rows, and the trees are not complete; return the
+        rows and the node they assign next."""
         rows, u = self._root(), 2
-        while u <= self.q and len(rows) < 4 * workers:
+        while u <= self.q and len(rows) <= self.step:
             rows, u = self._expand(rows, u), u + 1
         return rows, u
 
@@ -451,11 +481,14 @@ class _Walk:
         return their top k and the counts of the walk."""
         self.top = []
         self.swept = self.rescored = self.bounded = 0
+        step = self.step
         if u > self.q:
-            for lo in range(0, len(rows), _BLOCK):
-                self._leaves(rows.take(slice(lo, lo + _BLOCK)))
+            # Complete trees, lowest bound first, a step's rows at a time: the
+            # first steps lower the bar for the rest, and the block sweep's
+            # working set stays that of one step.
+            for lo in range(0, len(rows), step):
+                self._leaves(rows.take(slice(lo, lo + step)))
             return self.top, self.swept, self.rescored, self.bounded
-        step = max(1, _BLOCK // self.q)
         stack = [[rows, 0, u]]
         while stack:
             level = stack[-1]
@@ -502,13 +535,13 @@ class _Walk:
         number comes from there.
         """
         k = self.k
-        parent = rows.parent.astype(np.int64)
-        pens = self.penalty(parent)
+        pens = self.penalty(rows.parent)
         lower = self._lower(rows.bound, pens)
         live = np.flatnonzero(lower <= self.bar)
         if not live.size:
             return
-        parent, pens, lower, bound = parent[live], pens[live], lower[live], rows.bound[live]
+        parent, pens, lower, bound = (rows.parent[live], pens[live], lower[live],
+                                      rows.bound[live])
         first = (np.argpartition(lower, k - 1)[:k] if len(lower) > k
                  else np.arange(len(lower)))
         self._rescore(parent, pens, first)
@@ -559,7 +592,10 @@ def _walk_share(walk, rows, u, conn):
 def _fan_out(walk, shares, u):
     """Walk each share in a forked child of its own; return their results
     in share order, or raise the first failure among them."""
-    ctx = mp.get_context("fork")
+    # Imported here: most searches fork no child, and the import is slow.
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
     children = []
     try:
         for rows in shares:
@@ -596,8 +632,9 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
 
     Deterministic for any worker count: ranking is by objective with
     lexicographic Prüfer-code tie-break.  At most one worker per CPU is
-    used.  Refuses q > 11 unless ``force`` (the tree count grows as
-    q^(q-2)).
+    used, and none is forked when the trees complete within the levels
+    that fit one step of the walk.  Refuses q > 11 unless ``force`` (the
+    tree count grows as q^(q-2)).
     """
     q = spec.q
     if workers < 1:
@@ -606,14 +643,15 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
     if q > SEARCH_Q_LIMIT and not force:
         raise ValueError(
             f"q={q} means {q}^{q - 2} = {count_trees(q)} trees; "
-            "pass force=True to search anyway")
+            "pass force=True (--force on the command line) to search anyway")
 
     start_time = time.perf_counter()
     walk = _Walk(spec)
     walk.first_bar()
-    rows, u = walk.open_rows(workers)
+    rows, u = walk.open_rows()
     bounded = walk.bounded
-    shares = _deal(rows, workers)
+    # Complete trees are scored here: a fork would cost more than their walk.
+    shares = _deal(rows, workers if u <= q else 1)
     if len(shares) == 1:
         partials = [walk.walk(shares[0], u)]
     else:

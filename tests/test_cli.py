@@ -143,6 +143,8 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert "12^10" in err
         assert str(12 ** 10) in err
+        assert "--force" in err
+        assert "force=True" in err
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_leaf_weight_exits_2(self, tmp_path, capsys, weight):

@@ -52,9 +52,10 @@ class TestEnumeration:
     def test_partition_exact_cover(self):
         walk = _Walk(SearchSpec(fhat=np.random.default_rng(3).standard_normal((6, 2))))
         walk.first_bar()
+        rows, u = walk.open_rows()
+        # Whole levels are expanded while one fits in a step of the walk.
+        assert len(rows) > walk.step or u > 6
         for workers in (1, 2, 3, 8, 50):
-            rows, u = walk.open_rows(workers)
-            assert len(rows) >= 4 * workers or u > 6
             shares = _deal(rows, workers)
             assert len(shares) == min(workers, len(rows))
             assert max(map(len, shares)) - min(map(len, shares)) <= 1
@@ -126,8 +127,12 @@ class TestSearchAll:
             assert [r.code for r in a.ranked] == [r.code for r in b.ranked]
 
     def test_refuses_large_q(self):
-        with pytest.raises(ValueError, match="force"):
+        with pytest.raises(ValueError, match="force") as refused:
             search_all(SearchSpec(fhat=np.zeros((12, 1))))
+        # One check serves the API and the CLI, so its message names both.
+        assert "12^10" in str(refused.value)
+        assert "force=True" in str(refused.value)
+        assert "--force" in str(refused.value)
 
     def test_solutions_match_direct_projection(self):
         from ppmproj import project_matrix

@@ -429,11 +429,65 @@ def _tiny_spec(q=5):
     return SearchSpec(fhat=np.random.default_rng(0).standard_normal((q, 1)), k=2)
 
 
+def _fork_at_first_level(monkeypatch):
+    """One row per step of the walk, so that even a tiny search forks at its
+    first level of two rows or more."""
+    monkeypatch.setattr(search_mod, "_BLOCK", 1)
+
+
+def _ranking(report):
+    return [(entry.code, entry.objective) for entry in report.ranked]
+
+
+class TestForkPolicy:
+    """The caller forks only when a level of the walk outgrows one step."""
+
+    @staticmethod
+    def _children(spec, workers, cpus, monkeypatch):
+        """The report of a search on ``cpus`` CPUs and the children it started."""
+        context = _RecordingContext()
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
+        return search_all(spec, workers=workers), context.children
+
+    def test_levels_within_one_step_start_no_child(self, monkeypatch):
+        q = 7
+        rng = np.random.default_rng(7)
+        _, fhat = random_instance(q, p=3, rng=rng, feasible=True)
+        spec = SearchSpec(fhat=fhat + 0.01 / math.sqrt(q) * rng.standard_normal(fhat.shape),
+                          k=5)
+        walk = _Walk(spec)
+        walk.first_bar()
+        _, u = walk.open_rows()
+        assert u > q
+        reference = _ranking(search_all(spec))
+        for workers, cpus in [(2, 2), (8, 8)]:
+            report, children = self._children(spec, workers, cpus, monkeypatch)
+            assert children == 0
+            assert _ranking(report) == reference
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers, cpus", [(2, 2), (8, 3), (3, 8)])
+    def test_level_beyond_one_step_starts_a_child_per_worker(self, workers, cpus,
+                                                             monkeypatch):
+        spec = _tiny_spec(7)
+        walk = _Walk(spec)
+        walk.first_bar()
+        rows, u = walk.open_rows()
+        assert u <= spec.q and len(rows) > walk.step
+        reference = _ranking(search_all(spec))
+        report, children = self._children(spec, workers, cpus, monkeypatch)
+        assert children == min(workers, cpus)
+        assert _ranking(report) == reference
+        assert multiprocessing.active_children() == []
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("q, workers", [(3, 8), (4, 10 ** 6), (5, 2), (5, 1)])
     def test_one_child_per_share(self, q, workers, monkeypatch):
         context = _RecordingContext()
-        monkeypatch.setattr(search_mod.mp, "get_context", lambda method: context)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+        _fork_at_first_level(monkeypatch)
         # Shares are capped at the CPU count; 8 keeps every case's count on any machine.
         monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 8)
         deal = search_mod._deal
@@ -458,7 +512,7 @@ class TestWorkerCount:
                                                (8, 10 ** 6), (8, 8), (8, 3)])
     def test_children_capped_at_cpu_count(self, cpus, workers, monkeypatch):
         context = _RecordingContext()
-        monkeypatch.setattr(search_mod.mp, "get_context", lambda method: context)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
         monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
         spec = _tiny_spec(7)
         report = search_all(spec, workers=workers)
@@ -468,7 +522,8 @@ class TestWorkerCount:
         assert [(r.code, r.objective) for r in report.ranked] == \
             [(r.code, r.objective) for r in search_all(spec).ranked]
 
-    def test_children_are_joined(self):
+    def test_children_are_joined(self, monkeypatch):
+        _fork_at_first_level(monkeypatch)
         report = search_all(_tiny_spec(6), workers=2)
         assert report.ranked
         assert multiprocessing.active_children() == []
@@ -483,6 +538,7 @@ class TestWorkerCount:
             return sweep(tree, f)
 
         monkeypatch.setattr(search_mod, "_sweep", degenerate_in_children)
+        _fork_at_first_level(monkeypatch)
         with pytest.raises(DegeneracyError, match="forced in a child"):
             search_all(_tiny_spec(6), workers=2)
         assert multiprocessing.active_children() == []
@@ -497,6 +553,7 @@ class TestWorkerCount:
             return evaluate(*args)
 
         monkeypatch.setattr(search_mod, "_evaluate_tree", exit_in_children)
+        _fork_at_first_level(monkeypatch)
         with pytest.raises(RuntimeError, match=r"share \d of 2 exited with code 7"):
             search_all(_tiny_spec(6), workers=2)
         assert multiprocessing.active_children() == []
@@ -511,6 +568,7 @@ class TestWorkerCount:
             return sweep(tree, f)
 
         monkeypatch.setattr(search_mod, "_sweep", degenerate_in_children)
+        _fork_at_first_level(monkeypatch)
         matrix = tmp_path / "m.csv"
         np.savetxt(matrix, np.random.default_rng(1).standard_normal((6, 2)), delimiter=",")
         assert main(["search", str(matrix), "--workers", "2"]) == 3
