@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import io as pio
+from .baselines import SOLVERS
 from .bench import run_bench
 from .generate import GaltonWatsonSpec, galton_watson_tree, random_instance
 from .projection import DegeneracyError, project_matrix
@@ -123,8 +124,24 @@ def _cmd_search(args):
 
 
 def _cmd_bench(args):
-    sizes = [int(x) for x in args.sizes.split(",") if x]
+    # Every option is checked before the output is opened, so a bad one
+    # leaves neither a file nor a CSV header behind.
+    try:
+        sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--sizes: expected comma-separated integers, "
+                         f"got {args.sizes!r}") from None
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes: every size must be >= 1, got {args.sizes!r}")
     solvers = [x.strip() for x in args.solvers.split(",") if x.strip()]
+    for solver_id in solvers:
+        if solver_id != "exact" and solver_id not in SOLVERS:
+            raise ValueError(f"--solvers: unknown solver {solver_id!r}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.cmin <= args.cmax:
+        raise ValueError(f"--cmin and --cmax need 1 <= cmin <= cmax, "
+                         f"got {args.cmin} and {args.cmax}")
     out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:
         _, summary = run_bench(sizes, solvers, args.trials, args.seed,
@@ -174,6 +191,12 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (pio.ParseError, TreeInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        # A file named on the command line that cannot be read or written.
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except DegeneracyError as exc:
         print(f"error: numerical degeneracy: {exc}", file=sys.stderr)

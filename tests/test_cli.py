@@ -244,6 +244,68 @@ class TestPruferCommand:
         assert main(["prufer", "decode", "9 1", "--q", "4"]) == 2
 
 
+class TestUnreadableFiles:
+    """A file named on the command line that cannot be opened is an input
+    error: ``error: <path>: <reason>`` and exit 2, with no traceback."""
+
+    @staticmethod
+    def _exits_2(capsys, args, path, reason):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: {reason}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_missing_tree(self, chain_files, tmp_path, capsys):
+        _, matrix = chain_files
+        missing = tmp_path / "missing.tree"
+        self._exits_2(capsys, ["project", str(missing), str(matrix)], missing,
+                      "No such file or directory")
+
+    def test_missing_matrix(self, chain_files, tmp_path, capsys):
+        tree, _ = chain_files
+        missing = tmp_path / "missing.csv"
+        self._exits_2(capsys, ["project", str(tree), str(missing)], missing,
+                      "No such file or directory")
+
+    def test_search_missing_matrix(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        self._exits_2(capsys, ["search", str(missing)], missing,
+                      "No such file or directory")
+
+    def test_prufer_encode_missing_tree(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tree"
+        self._exits_2(capsys, ["prufer", "encode", str(missing)], missing,
+                      "No such file or directory")
+
+    def test_directory_as_tree(self, chain_files, tmp_path, capsys):
+        _, matrix = chain_files
+        self._exits_2(capsys, ["project", str(tmp_path), str(matrix)], tmp_path,
+                      "Is a directory")
+
+    @pytest.mark.parametrize("command", ["project", "search"])
+    def test_output_into_missing_directory(self, chain_files, tmp_path, capsys,
+                                           command):
+        tree, matrix = chain_files
+        out = tmp_path / "nowhere" / "result.json"
+        inputs = [str(tree), str(matrix)] if command == "project" else [str(matrix)]
+        assert main([command, *inputs, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {out}: No such file or directory" in err
+        assert "Traceback" not in err
+
+    def test_bench_output_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nowhere" / "bench.csv"
+        self._exits_2(capsys, ["bench", "--sizes", "5", "--trials", "1",
+                               "--out", str(out)], out, "No such file or directory")
+
+    def test_gen_output_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nowhere" / "t.tree"
+        self._exits_2(capsys, ["gen", "--q", "3", "--out-tree", str(out),
+                               "--out-matrix", str(tmp_path / "m.csv")],
+                      out, "No such file or directory")
+
+
 class TestMatrixFormat:
     def test_seventeen_digit_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -355,6 +417,38 @@ class TestBench:
     def test_unknown_solver_exits_2(self, capsys):
         assert main(["bench", "--sizes", "6", "--solvers", "magic",
                      "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("options, named", [
+        (["--trials", "0"], "--trials"),
+        (["--trials", "-2"], "--trials"),
+        (["--sizes", "0"], "--sizes"),
+        (["--sizes", "6,-1"], "--sizes"),
+        (["--sizes", "6,x"], "--sizes"),
+        (["--cmin", "3", "--cmax", "1"], "--cmin"),
+        (["--cmin", "0"], "--cmin"),
+        (["--solvers", "exact,magic"], "--solvers"),
+    ])
+    def test_bad_option_exits_2_before_any_output(self, tmp_path, capsys,
+                                                  options, named):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert main(["bench", *options, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": 0}, {"sizes": [0]}, {"cmin": 3, "cmax": 1},
+        {"solvers": ["magic"]},
+    ])
+    def test_run_bench_writes_nothing_for_bad_arguments(self, kwargs):
+        import io as _io
+        args = {"sizes": [6], "solvers": ["exact"], "trials": 1, "seed": 0, **kwargs}
+        buf = _io.StringIO()
+        with pytest.raises(ValueError):
+            run_bench(out=buf, **args)
+        assert buf.getvalue() == ""
 
     def test_exact_mean_time_subquadratic(self):
         rows, summary = run_bench([100, 1000], ["exact"], trials=3, seed=2)
