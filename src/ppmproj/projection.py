@@ -22,7 +22,7 @@ so once a column has run more than ceil(log2 q) of them, with more nodes
 than that still free, the sweep hands its boundary set to
 :func:`_active_set`: O(q) passes that each solve for the optimum of a
 boundary set and correct the set, until a pass certifies its answer by the
-KKT conditions (2-5 passes on such columns).  If q + 1 passes do not
+KKT conditions (2-6 passes on such columns).  If q + 1 passes do not
 certify, the sweep resumes from its untouched state, so a column still
 ends within q + 1 segments.  With ``keep_path`` the sweep runs alone.
 
@@ -243,6 +243,7 @@ def _active_set(tree, n, fixed, counters=None):
             b_arr[u] = b
         if counters is not None:
             _tally(counters, free_desc, parent, children, inb)
+        # z[1](t) = lpp * t + icpt; lpp is the curvature L'' of this set.
         if inb[1]:
             lpp, icpt = 1.0, -n[1]
         else:
@@ -286,8 +287,8 @@ def _sweep(tree, f, path=None, counters=None):
     Returns ``(t_star, z, m, f_star, cost2, iterations)``, the vectors as
     1-indexed lists, ``cost2`` the squared Euclidean cost and
     ``iterations`` the segments plus the passes of :func:`_active_set`.  A
-    fixed node's dual value is ``t - n[r]`` at every t, so it is written out only
-    where it is read: in path records and at finalization.
+    fixed node's dual value is ``t - n[r]`` at every t, so it is written
+    out only where it is read: in path records and at finalization.
     """
     q, parent, children, order = tree.q, tree.parent, tree.children, tree.bfs_order()
     n = [0.0] * (q + 1)

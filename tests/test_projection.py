@@ -243,7 +243,6 @@ class TestPathProperties:
             assert counters.get("edges_touched", 0) <= 6 * tree.q * res.iterations
 
 
-
 def _subtree_sums(tree, m):
     """F = U m in O(q), without the dense ancestry matrix."""
     total = np.array(m, dtype=float)
@@ -283,14 +282,6 @@ def _tree(shape, q, rng):
     if shape == "galton-watson":
         return galton_watson_tree(GaltonWatsonSpec(q=q), rng=rng)
     return random_labeled_tree(q, rng)
-
-
-def _ancestor_sums(tree, f):
-    """``_sweep``'s 1-indexed ancestor sums, n[0] = 0."""
-    n = [0.0] * (tree.q + 1)
-    for v in tree.bfs_order():
-        n[v] = f[v - 1] + n[tree.parent[v]]
-    return n
 
 
 @pytest.fixture
@@ -388,7 +379,8 @@ class TestActiveSetFinish:
         start = data.draw(st.lists(st.booleans(), min_size=q, max_size=q).filter(any))
 
         fixed = [False] + start
-        done = projection._active_set(tree, _ancestor_sums(tree, f), fixed)
+        n = [0.0] + ancestor_sums(tree, f).tolist()
+        done = projection._active_set(tree, n, fixed)
         assert fixed == [False] + start
         assert done is not None
         t_star, z, passes = done
