@@ -289,10 +289,8 @@ class TestUnreadableFiles:
         tree, matrix = chain_files
         out = tmp_path / "nowhere" / "result.json"
         inputs = [str(tree), str(matrix)] if command == "project" else [str(matrix)]
-        assert main([command, *inputs, "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {out}: No such file or directory" in err
-        assert "Traceback" not in err
+        self._exits_2(capsys, [command, *inputs, "-o", str(out)], out,
+                      "No such file or directory")
 
     def test_bench_output_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "nowhere" / "bench.csv"
