@@ -36,7 +36,8 @@ class SolverConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rho <= 0 or self.alpha <= 0 or self.tol <= 0:
+        # Written as "not > 0" so that NaN is rejected too.
+        if not (self.rho > 0 and self.alpha > 0 and self.tol > 0):
             raise ValueError("rho, alpha and tol must all be positive")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -142,6 +143,9 @@ def _cmd_bench(args):
     if not 1 <= args.cmin <= args.cmax:
         raise ValueError(f"--cmin and --cmax need 1 <= cmin <= cmax, "
                          f"got {args.cmin} and {args.cmax}")
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+    _check_seed(args.seed)
     out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:
         _, summary = run_bench(sizes, solvers, args.trials, args.seed,
@@ -153,7 +157,13 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_gen(args):
+    _check_seed(args.seed)
     spec = GaltonWatsonSpec(q=args.q, cmin=args.cmin, cmax=args.cmax)
     rng = np.random.default_rng(args.seed)
     tree = galton_watson_tree(spec, rng=rng)

@@ -1,32 +1,28 @@
 """Exact projection onto the perfect phylogeny polytope for a fixed tree.
 
-For one frequency column the projection is computed by following the
-piecewise-linear path of the dual minimizer as the scalar dual variable t
-decreases.  Starting from the largest cumulative frequency sum, nodes join
-the constraint boundary one segment at a time.  Each segment's slopes come
-from one two-pass elimination over the free forest (:func:`_slope_pass`):
-bottom-up, every free node collapses its children into a harmonic-weight
-line (free leaves contribute nothing, which prunes them); top-down, every
-free node solves the star formed by its parent and its reduced children.
-The sweep stops as soon as the objective derivative drops below -1, pins
-down the optimal t by linear interpolation on the final segment, and
-converts the dual minimizer into the projected mutant fractions and
-frequencies.
+For one frequency column the projection follows the piecewise-linear path
+of the dual minimizer as the scalar dual variable t decreases from the
+largest cumulative frequency sum; nodes join the constraint boundary one
+segment at a time.  One two-pass elimination over the free forest
+(:func:`_eliminate`) solves a boundary set at t: bottom-up, every free node
+collapses its children into a harmonic-weight line (free subtrees without
+boundary nodes add nothing, which prunes them); top-down, every free node
+solves the star of its parent and its reduced children for its value and
+slope.  The root's pair is L'(t) and L''.  The sweep stops once L' would
+drop below -1 on a segment, solves L'(t) = -1 there and converts the dual
+minimizer into mutant fractions and frequencies, which sum to -z[1] = 1.
 
 :func:`_sweep`, the library's only exact sweep, serves :func:`project` and
-the exhaustive search.  It works on plain 1-indexed lists; only the final
-arrays of :func:`project` become numpy.  The reduction, the crossing scan
-and the update visit only the free nodes, and the star pass every node, so
-a segment costs O(q).  Nearly consistent columns take about 0.9 q segments,
-so once a column has run more than ceil(log2 q) of them, with more nodes
-than that still free, the sweep hands its boundary set to
-:func:`_active_set`: O(q) passes that each solve for the optimum of a
-boundary set and correct the set, until a pass certifies its answer by the
-KKT conditions (2-6 passes on such columns).  If q + 1 passes do not
-certify, the sweep resumes from its untouched state, so a column still
-ends within q + 1 segments.  With ``keep_path`` the sweep runs alone.
+the exhaustive search on plain 1-indexed lists.  A segment visits only the
+free nodes, so it costs O(q).  Nearly consistent columns take about 0.9 q
+segments, so once a column has run more than ceil(log2 q) of them, with
+more nodes than that still free, the sweep hands its boundary set to
+:func:`_active_set`: eliminations that each solve a boundary set and
+correct it, until one certifies its answer by the KKT conditions (2-6 on
+such columns).  If q + 1 passes do not certify, the sweep resumes from its
+untouched state.  With ``keep_path`` the sweep runs alone.
 
-:func:`_sweep_block` runs the same sweep in numpy on a block of trees at
+:func:`_sweep_block` runs the same segments in numpy on a block of trees at
 once, given as the search walk's parent and depth rows, and returns costs
 only.  The search uses it to screen trees; every number the search reports
 still comes from :func:`_sweep`.
@@ -114,49 +110,53 @@ def recover_solution(tree: RootedTree, z_star):
     return m, f
 
 
-def _slope_pass(free_desc, order, parent, children, fixed, rate, s_arr, a_arr,
-                counters=None):
-    """Slopes of one segment; fills ``rate`` for the free nodes in place and
-    returns the curvature L''.
+def _eliminate(free_desc, parent, children, fixed, n, t, z, rate, s_arr, a_arr,
+               counters=None):
+    """Values at ``t`` and slopes of the free nodes for the boundary set
+    ``fixed``; returns the root's pair, L'(t) = z[1](t) and L'' = rate[1].
+    By the tree Laplacian identity rate[1] equals the sum of squared slope
+    differences across all edges.
 
-    ``free_desc`` lists the free nodes children first (reverse BFS order)
-    and ``order`` is a BFS order of all nodes.  Fixed nodes move at rate 1
-    and ``rate[0]`` is the zero anchor above the root.
-
-    Bottom-up, free node u reduces its children to a line of slope
-    ``a_arr[u] / s_arr[u]`` with weight ``s_arr[u]``: a fixed child adds
-    weight 1 at slope 1, a free child c adds its line at the harmonic weight
-    ``1 / (1 + 1 / s_arr[c])``, and a child with ``s_arr[c] == 0`` (a free
-    subtree without boundary nodes) adds nothing.  Top-down, u's slope is
-    the weighted average of its parent's slope and that line.
+    ``free_desc`` lists the free nodes children first.  A boundary node b
+    lies on ``t - n[b]`` at slope 1, the anchor above the root at 0.
+    Bottom-up, free node u reduces its children to ``(1 + s_arr[u]) z[u] =
+    z[p] + v``, v of slope ``a_arr[u]`` and of value ``z[u]`` until the
+    top-down pass: a boundary child c adds 1, 1 and ``t - n[c]``; a free
+    child c adds its own three times ``1 / (1 + s_arr[c])``, or nothing when
+    ``s_arr[c] == 0``.  Values are anchored at t: intercepts in absolute t
+    lose the gaps ``t - n`` to cancellation when |n| is large.
     """
     for u in free_desc:
-        s = a = 0.0
+        s = a = v = 0.0
         for c in children[u]:
             if fixed[c]:
                 s += 1.0
                 a += 1.0
+                v += t - n[c]
             else:
                 sc = s_arr[c]
                 if sc > 0.0:
-                    g = 1.0 / (1.0 + 1.0 / sc)
-                    s += g
-                    a += g * (a_arr[c] / sc)
+                    w = 1.0 / (1.0 + sc)
+                    s += sc * w
+                    a += a_arr[c] * w
+                    v += z[c] * w
         s_arr[u] = s
         a_arr[u] = a
-    lpp = 0.0
-    for u in order:
-        if fixed[u]:
-            d = 1.0 - rate[parent[u]]
+        z[u] = v
+    for u in reversed(free_desc):
+        p = parent[u]
+        d = 1.0 + s_arr[u]
+        if fixed[p]:
+            z[u] = (t - n[p] + z[u]) / d
+            rate[u] = (1.0 + a_arr[u]) / d
         else:
-            pa = rate[parent[u]]
-            r_u = (pa + a_arr[u]) / (1.0 + s_arr[u])
-            rate[u] = r_u
-            d = r_u - pa
-        lpp += d * d
+            z[u] = (z[p] + z[u]) / d
+            rate[u] = (rate[p] + a_arr[u]) / d
     if counters is not None:
         _tally(counters, free_desc, parent, children, fixed)
-    return lpp
+    if fixed[1]:
+        return t - n[1], 1.0
+    return z[1], rate[1]
 
 
 def _tally(counters, free_desc, parent, children, fixed):
@@ -177,8 +177,8 @@ def compute_rates(tree: RootedTree, boundary, counters=None):
     Returns ``(z_rate, lsecond)`` where ``z_rate`` is a length-q array
     (entry i-1 for node i, equal to 1 on the boundary and in [0, 1]
     elsewhere) and ``lsecond`` is the curvature of the dual objective on the
-    current segment, the sum of squared slope differences across all edges
-    (the root differencing against zero).
+    segment: the root's slope, which equals the sum of squared slope
+    differences across all edges (the root differencing against zero).
     """
     if not boundary:
         raise ValueError("boundary set must be nonempty")
@@ -187,14 +187,15 @@ def compute_rates(tree: RootedTree, boundary, counters=None):
     if not all(1 <= b <= q for b in labels):
         raise ValueError(f"boundary labels must lie in 1..{q}")
     fixed = [False] * (q + 1)
-    rate = [0.0] * (q + 1)
     for b in labels:
         fixed[b] = True
+    free_desc = [u for u in reversed(tree.bfs_order()) if not fixed[u]]
+    rate = [0.0] * (q + 1)
+    _, lsecond = _eliminate(free_desc, tree.parent, tree.children, fixed,
+                            [0.0] * (q + 1), 0.0, [0.0] * (q + 1), rate,
+                            [0.0] * (q + 1), [0.0] * (q + 1), counters)
+    for b in labels:
         rate[b] = 1.0
-    order = tree.bfs_order()
-    free_desc = [u for u in reversed(order) if not fixed[u]]
-    lsecond = _slope_pass(free_desc, order, tree.parent, tree.children, fixed,
-                          rate, [0.0] * (q + 1), [0.0] * (q + 1), counters)
     return np.array(rate[1:]), lsecond
 
 
@@ -202,12 +203,9 @@ def _active_set(tree, n, fixed, counters=None):
     """Finish a column from the boundary set ``fixed``; ``(t, z, passes)``
     once the KKT conditions certify the set, None after q + 1 passes.
 
-    Each pass is :func:`_slope_pass`'s elimination with a second
-    right-hand side: bottom-up, free node u reduces its children to
-    ``(1 + s[u]) z[u] = z[p] + a[u] t + b[u]`` (a boundary child c adds
-    weight 1, slope 1 and intercept ``-n[c]``), so the root's value is
-    affine in t and L'(t) = z[1](t) = -1 gives t; top-down, each free
-    node's value follows from its parent's.  Then boundary nodes with
+    Each pass runs :func:`_eliminate` at the previous pass's t (the first at
+    max n) and moves t along the root's line to L'(t) = z[1](t) = -1, and
+    every free value along its slope with it.  Then boundary nodes with
     m < -tau leave the set and free nodes above their constraint line
     ``t - n`` by more than tau join it, with tau scaled by max(1, |n|_inf).
     A pass that moves no node certifies its solution: m >= -tau on the
@@ -220,45 +218,24 @@ def _active_set(tree, n, fixed, counters=None):
     inb = list(fixed)
     s_arr = [0.0] * (q + 1)
     a_arr = [0.0] * (q + 1)
-    b_arr = [0.0] * (q + 1)
+    rate = [0.0] * (q + 1)
     z = [0.0] * (q + 1)
+    t = max(n[1:])
     for passes in range(1, q + 2):
         free_desc = [u for u in rev if not inb[u]]
-        for u in free_desc:
-            s = a = b = 0.0
-            for c in children[u]:
-                if inb[c]:
-                    s += 1.0
-                    a += 1.0
-                    b -= n[c]
-                else:
-                    sc = s_arr[c]
-                    if sc > 0.0:
-                        w = 1.0 / (1.0 + sc)
-                        s += sc * w
-                        a += a_arr[c] * w
-                        b += b_arr[c] * w
-            s_arr[u] = s
-            a_arr[u] = a
-            b_arr[u] = b
-        if counters is not None:
-            _tally(counters, free_desc, parent, children, inb)
-        # z[1](t) = lpp * t + icpt; lpp is the curvature L'' of this set.
-        if inb[1]:
-            lpp, icpt = 1.0, -n[1]
-        else:
-            w = 1.0 / (1.0 + s_arr[1])
-            lpp, icpt = a_arr[1] * w, b_arr[1] * w
+        z1, lpp = _eliminate(free_desc, parent, children, inb, n, t, z, rate,
+                             s_arr, a_arr, counters)
         if lpp < LSECOND_GUARD:
             raise DegeneracyError(
                 f"curvature {lpp} vanished at finalization (expected > 0)")
-        t = (-1.0 - icpt) / lpp
+        step = (-1.0 - z1) / lpp
+        t += step
         moved = []
         for u in order:
             if inb[u]:
                 z[u] = t - n[u]
             else:
-                zu = z[u] = (z[parent[u]] + a_arr[u] * t + b_arr[u]) / (1.0 + s_arr[u])
+                zu = z[u] = z[u] + step * rate[u]
                 if zu > t - n[u] + tau:
                     moved.append(u)
         for u in order:
@@ -286,9 +263,11 @@ def _sweep(tree, f, path=None, counters=None):
 
     Returns ``(t_star, z, m, f_star, cost2, iterations)``, the vectors as
     1-indexed lists, ``cost2`` the squared Euclidean cost and
-    ``iterations`` the segments plus the passes of :func:`_active_set`.  A
-    fixed node's dual value is ``t - n[r]`` at every t, so it is written
-    out only where it is read: in path records and at finalization.
+    ``iterations`` the segments plus the passes of :func:`_active_set`.
+    Each segment solves its boundary set afresh with :func:`_eliminate` at
+    its start t, so ``lprime`` is z[1](t) and ``lsecond`` the root's slope,
+    equal to the sum of squared slope differences.  A boundary node's value
+    ``t - n[r]`` is written out only in path records and at finalization.
     """
     q, parent, children, order = tree.q, tree.parent, tree.children, tree.bfs_order()
     n = [0.0] * (q + 1)
@@ -297,22 +276,20 @@ def _sweep(tree, f, path=None, counters=None):
     t = max(n[1:])
     eps = tie_tolerance(t)
     fixed = [False] * (q + 1)
-    rate = [0.0] * (q + 1)
     free_desc = []
     for v in order:
         if n[v] >= t - eps:
             fixed[v] = True
-            rate[v] = 1.0
         else:
             free_desc.append(v)
     free_desc.reverse()
     z = [0.0] * (q + 1)
+    rate = [0.0] * (q + 1)
     cross = [0.0] * (q + 1)
     s_arr = [0.0] * (q + 1)
     a_arr = [0.0] * (q + 1)
     neg_inf = _NEG_INF
     crossing_rate = 1.0 - RATE_ONE_EPS
-    lp = 0.0
     segments = 0
     # Past this many segments, with as many nodes still free, the column
     # is handed to the active-set finish; keep_path runs the plain sweep.
@@ -332,14 +309,15 @@ def _sweep(tree, f, path=None, counters=None):
         segments += 1
         if segments > q + 1:
             raise AssertionError("sweep exceeded the segment bound")
-        lpp = _slope_pass(free_desc, order, parent, children, fixed, rate,
-                          s_arr, a_arr, counters)
+        lp, lpp = _eliminate(free_desc, parent, children, fixed, n, t, z, rate,
+                             s_arr, a_arr, counters)
         if path is not None:
             path.append(PathState(
                 index=segments, t=t,
                 boundary=frozenset(r for r in range(1, q + 1) if fixed[r]),
                 z=np.array([t - n[r] if fixed[r] else z[r] for r in range(1, q + 1)]),
-                z_rate=np.array(rate[1:]), lprime=lp, lsecond=lpp,
+                z_rate=np.array([1.0 if fixed[r] else rate[r] for r in range(1, q + 1)]),
+                lprime=lp, lsecond=lpp,
             ))
 
         # Next critical value: the largest crossing point below t of a free
@@ -355,31 +333,24 @@ def _sweep(tree, f, path=None, counters=None):
                 elif pr > best:
                     best = pr
             cross[r] = pr
-        if best == neg_inf:
+        if best == neg_inf or lp + (best - t) * lpp < -1.0:
             break
-        lp_next = lp + (best - t) * lpp
-        if lp_next < -1.0:
-            break
-        dt = best - t
         thresh = best - tie_tolerance(best)
         still_free = []
         for r in free_desc:
             if cross[r] >= thresh:
                 fixed[r] = True
-                rate[r] = 1.0
             else:
-                z[r] += dt * rate[r]
                 still_free.append(r)
         free_desc = still_free
         t = best
-        lp = lp_next
 
     if zs is None:
         if lpp < LSECOND_GUARD:
             raise DegeneracyError(
                 f"curvature {lpp} vanished at finalization (expected > 0)")
-        t_star = t - (1.0 + lp) / lpp
-        step = t_star - t
+        step = -(1.0 + lp) / lpp
+        t_star = t + step
         zs = [t - n[i] + step if fixed[i] else z[i] + step * rate[i]
               for i in range(q + 1)]
     m = [0.0] * (q + 1)
@@ -407,13 +378,14 @@ def _sweep_block(parent, depth, f):
 
     ``parent`` and ``depth`` (B, q+1) are rows of the search's walk, each
     node's parent and depth, and ``f`` is the column as a length-(q+1)
-    vector; column 0 of each is unused.  Runs :func:`_sweep`'s
-    two-pass sweep, with its tie tolerance and ``RATE_ONE_EPS``, on all
-    trees at once and returns ``(cost2, uncertified)``: the (B,) squared
-    costs and a mask of the rows it cannot vouch for (curvature below
-    ``LSECOND_GUARD``, a non-finite cost or too many segments).  The sums
-    run in another order than :func:`_sweep`'s, so the costs may differ
-    from its costs in the last bits; it builds no m, f or z vectors.
+    vector; column 0 of each is unused.  Runs :func:`_sweep`'s segments,
+    with its tie tolerance and ``RATE_ONE_EPS``, on all trees at once and
+    returns ``(cost2, uncertified)``: the (B,) squared costs and a mask of
+    the rows it cannot vouch for (curvature below ``LSECOND_GUARD``, a
+    non-finite cost or too many segments).  Its arithmetic is its own (z
+    moved along the slopes, L' accumulated from L'' = the sum of squared
+    slope gaps), so its costs may differ from :func:`_sweep`'s in the last
+    bits; it builds no m, f or z vectors.
 
     Each tree is relabelled by position in its order by depth, then label,
     so that position j's parent lies at a smaller position and the state is
@@ -529,9 +501,9 @@ def project(tree: RootedTree, fhat_col, keep_path=False,
     With ``keep_path=True`` the result carries the list of per-segment
     :class:`PathState` records for path-structure inspection, and the
     column is swept to the end without the active-set finish.  A dict passed
-    as ``counters`` accumulates, over the slope and finish passes, the free
-    components, free nodes visited, reductions, star solves and child edges
-    scanned.
+    as ``counters`` accumulates, over every elimination of the sweep and the
+    finish, the free components, free nodes visited, reductions, star solves
+    and child edges scanned.
     """
     f = _column(fhat_col, tree.q)
     path = [] if keep_path else None

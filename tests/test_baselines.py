@@ -407,6 +407,9 @@ class TestSolverConfig:
             SolverConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+        for field in ("rho", "alpha", "tol"):
+            with pytest.raises(ValueError, match="must all be positive"):
+                SolverConfig(**{field: float("nan")})
 
     @pytest.mark.parametrize("max_iters", [0, -1])
     def test_max_iters_below_one_rejected(self, max_iters):

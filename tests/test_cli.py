@@ -182,6 +182,13 @@ class TestGenCommand:
         with pytest.raises(ValueError, match="p must be >= 1"):
             random_instance(5, p=0)
 
+    def test_negative_seed_exits_2_naming_the_option(self, tmp_path, capsys):
+        t, m = tmp_path / "t.tree", tmp_path / "m.csv"
+        assert main(["gen", "--q", "5", "--seed", "-1", "--out-tree", str(t),
+                     "--out-matrix", str(m)]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not t.exists() and not m.exists()
+
     def test_seeded_runs_identical(self, tmp_path):
         files = []
         for tag in ("a", "b"):
@@ -425,6 +432,11 @@ class TestBench:
         (["--cmin", "3", "--cmax", "1"], "--cmin"),
         (["--cmin", "0"], "--cmin"),
         (["--solvers", "exact,magic"], "--solvers"),
+        (["--solvers", "exact,pgd-primal", "--tol", "0"], "--tol"),
+        (["--tol", "-0.001"], "--tol"),
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "inf"], "--tol"),
+        (["--seed", "-1"], "--seed"),
     ])
     def test_bad_option_exits_2_before_any_output(self, tmp_path, capsys,
                                                   options, named):

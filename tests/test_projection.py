@@ -338,6 +338,16 @@ class TestActiveSetFinish:
         self._agree(tree, _near_feasible(tree, rng))
         assert len(finishes) == 1 and finishes[0] <= 10
 
+    @pytest.mark.parametrize("shape", ["prufer", "chain"])
+    def test_quantized_agrees_with_plain_sweep_at_q3000(self, shape, finishes):
+        # Steps of 1/20 tie many ancestor sums, and the finish can take tens
+        # of passes on such columns; its answer is checked, not their number.
+        rng = np.random.default_rng([3000, 20, SHAPES.index(shape)])
+        for _ in range(3):
+            tree = _tree(shape, 3000, rng)
+            self._agree(tree, _column("quantized", tree, rng))
+        assert len(finishes) == 3 and None not in finishes
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_small_scale_is_certified(self, shape, finishes):
         # At scale 1e-8 the plain sweep groups events within its tie
@@ -444,6 +454,18 @@ class TestActiveSetFinish:
         assert calls == [1]
         with pytest.raises(DegeneracyError):
             project(tree, f, keep_path=True)
+
+
+def test_mass_sums_to_one_at_small_scale():
+    """The sweep solves z[1](t*) = -1 directly and sum(m) = -z[1], so the
+    fractions sum to 1 to rounding, also where the tie tolerance is coarse
+    against the data."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        q = int(rng.integers(2, 11))
+        tree = random_labeled_tree(q, rng)
+        res = project(tree, 1e-8 * rng.standard_normal(q))
+        assert abs(res.m_star.sum() - 1.0) <= 1e-14
 
 
 def test_near_feasible_scaling_slope():

@@ -1,11 +1,12 @@
-"""Tests for the segment slopes: ``compute_rates`` and the two-pass slope
-pass behind it, checked against closed forms and a dense Laplacian solve."""
+"""Tests for the segment slopes and values: ``compute_rates`` and the
+two-pass elimination behind it, checked against closed forms and a dense
+Laplacian solve."""
 
 import numpy as np
 import pytest
 
 from ppmproj import RootedTree, compute_rates, decode_prufer
-from ppmproj.projection import _slope_pass
+from ppmproj.projection import _eliminate
 
 
 def chain(q):
@@ -21,13 +22,13 @@ def random_boundary(rng, q):
     return set(int(x) + 1 for x in rng.choice(q, size=k, replace=False))
 
 
-def dense_rates(tree, boundary):
-    """Slopes by a dense solve of the free nodes' stationarity system.
+def dense_solve(tree, boundary, held):
+    """Node values by a dense solve of the free nodes' stationarity system.
 
-    Node slopes minimize the sum over edges of squared slope differences,
-    the root's edge running to a zero anchor, with boundary nodes held at
-    slope 1: the free-node block of the weighted graph Laplacian against
-    the pull of the boundary neighbours.
+    The values minimize the sum over edges of squared differences, the
+    root's edge running to a zero anchor, with boundary node b held at
+    ``held[b - 1]``: the free-node block of the weighted graph Laplacian
+    against the pull of the boundary neighbours.
     """
     q = tree.q
     free = [v for v in range(1, q + 1) if v not in boundary]
@@ -42,13 +43,18 @@ def dense_rates(tree, boundary):
         lap[i, i] = len(tree.children[v]) + 1.0
         for w in neighbours:
             if w in boundary:
-                rhs[i] += 1.0
+                rhs[i] += held[w - 1]
             else:
                 lap[i, index[w]] -= 1.0
-    rates = np.ones(q)
+    values = np.array(held, dtype=float)
     if free:
-        rates[[v - 1 for v in free]] = np.linalg.solve(lap, rhs)
-    return rates
+        values[[v - 1 for v in free]] = np.linalg.solve(lap, rhs)
+    return values
+
+
+def dense_rates(tree, boundary):
+    """Node slopes: the dense solve with every boundary node at slope 1."""
+    return dense_solve(tree, boundary, np.ones(tree.q))
 
 
 def curvature(tree, rates):
@@ -57,7 +63,8 @@ def curvature(tree, rates):
 
 
 def slope_state(tree, fixed_nodes):
-    """One slope pass: (rate, s_arr, a_arr, lsecond), the lists 1-indexed."""
+    """One elimination's slopes: (rate, s_arr, a_arr, lsecond), the lists
+    1-indexed."""
     q = tree.q
     fixed = [False] * (q + 1)
     rate = [0.0] * (q + 1)
@@ -66,10 +73,10 @@ def slope_state(tree, fixed_nodes):
         rate[v] = 1.0
     s_arr = [0.0] * (q + 1)
     a_arr = [0.0] * (q + 1)
-    order = tree.bfs_order()
-    free_desc = [u for u in reversed(order) if not fixed[u]]
-    lsecond = _slope_pass(free_desc, order, tree.parent, tree.children, fixed,
-                          rate, s_arr, a_arr)
+    free_desc = [u for u in reversed(tree.bfs_order()) if not fixed[u]]
+    _, lsecond = _eliminate(free_desc, tree.parent, tree.children, fixed,
+                            [0.0] * (q + 1), 0.0, [0.0] * (q + 1), rate,
+                            s_arr, a_arr)
     return rate, s_arr, a_arr, lsecond
 
 
@@ -259,6 +266,29 @@ class TestComputeRates:
             assert rates == pytest.approx(dense_rates(t, boundary), abs=1e-12)
             assert lsecond == pytest.approx(curvature(t, rates), rel=1e-12)
             assert lsecond > 0
+
+            # The values at a point of the path: boundary nodes on t - n.
+            n = rng.standard_normal(q)
+            at = float(rng.standard_normal())
+            fixed = [False] + [v in boundary for v in range(1, q + 1)]
+            z, rate = [0.0] * (q + 1), [0.0] * (q + 1)
+            free_desc = [u for u in reversed(t.bfs_order()) if not fixed[u]]
+            lprime, lpp = _eliminate(free_desc, t.parent, t.children, fixed,
+                                     [0.0] + n.tolist(), at, z, rate,
+                                     [0.0] * (q + 1), [0.0] * (q + 1))
+            values = dense_solve(t, boundary, at - n)
+            free = [v for v in range(1, q + 1) if v not in boundary]
+            assert [z[v] for v in free] == pytest.approx(
+                [values[v - 1] for v in free], abs=1e-12)
+            assert lprime == pytest.approx(values[0], abs=1e-12)
+            assert lpp == pytest.approx(lsecond, rel=1e-12)
+            # L'(t) = z[1](t) and L'' = rate[1] for the inner dual L, half
+            # the sum of squared value gaps, which is quadratic in t on a
+            # fixed boundary set, so central differences are exact.
+            lo, mid, hi = (0.5 * curvature(t, dense_solve(t, boundary, x - n))
+                           for x in (at - 0.5, at, at + 0.5))
+            assert lprime == pytest.approx(hi - lo, rel=1e-9, abs=1e-9)
+            assert lpp == pytest.approx(4.0 * (hi - 2.0 * mid + lo), rel=1e-9, abs=1e-9)
 
     def test_edges_touched_linear_per_call(self):
         rng = np.random.default_rng(7)
