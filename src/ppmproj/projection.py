@@ -20,7 +20,7 @@ more nodes than that still free, the sweep hands its boundary set to
 :func:`_active_set`: eliminations that each solve a boundary set and
 correct it, until one certifies its answer by the KKT conditions (2-6 on
 such columns).  If q + 1 passes do not certify, the sweep resumes from its
-untouched state.  With ``keep_path`` the sweep runs alone.
+untouched state.  ``keep_path`` and ``counters`` only record this run.
 
 :func:`_sweep_block` runs the same segments in numpy on a block of trees at
 once, given as the search walk's parent and depth rows, and returns costs
@@ -65,7 +65,6 @@ def tie_tolerance(t: float) -> float:
 class PathState:
     """Sweep state at the i-th critical value."""
 
-    index: int
     t: float
     boundary: frozenset
     z: np.ndarray
@@ -257,9 +256,9 @@ def _sweep(tree, f, path=None, counters=None):
     """Project one column onto ``tree``.
 
     ``f[v]`` is the frequency of node v (``f[0]`` is unused).  Appends one
-    :class:`PathState` per segment to ``path`` when it is a list, and then
-    runs without the active-set finish; tallies the counts of every
-    elimination pass into ``counters`` when it is a dict.
+    :class:`PathState` per segment it runs to ``path`` when it is a list
+    (none for the passes of :func:`_active_set`); tallies the counts of
+    every elimination pass into ``counters`` when it is a dict.
 
     Returns ``(t_star, z, m, f_star, cost2, iterations)``, the vectors as
     1-indexed lists, ``cost2`` the squared Euclidean cost and
@@ -275,14 +274,8 @@ def _sweep(tree, f, path=None, counters=None):
         n[v] = f[v] + n[parent[v]]
     t = max(n[1:])
     eps = tie_tolerance(t)
-    fixed = [False] * (q + 1)
-    free_desc = []
-    for v in order:
-        if n[v] >= t - eps:
-            fixed[v] = True
-        else:
-            free_desc.append(v)
-    free_desc.reverse()
+    fixed = [False] + [n[v] >= t - eps for v in range(1, q + 1)]
+    free_desc = [v for v in reversed(order) if not fixed[v]]
     z = [0.0] * (q + 1)
     rate = [0.0] * (q + 1)
     cross = [0.0] * (q + 1)
@@ -291,9 +284,8 @@ def _sweep(tree, f, path=None, counters=None):
     neg_inf = _NEG_INF
     crossing_rate = 1.0 - RATE_ONE_EPS
     segments = 0
-    # Past this many segments, with as many nodes still free, the column
-    # is handed to the active-set finish; keep_path runs the plain sweep.
-    switch = (q - 1).bit_length() if path is None else 0
+    # Past this many segments, with as many nodes still free, hand over.
+    switch = (q - 1).bit_length()
     passes = 0
     zs = None
 
@@ -313,8 +305,7 @@ def _sweep(tree, f, path=None, counters=None):
                              s_arr, a_arr, counters)
         if path is not None:
             path.append(PathState(
-                index=segments, t=t,
-                boundary=frozenset(r for r in range(1, q + 1) if fixed[r]),
+                t=t, boundary=frozenset(r for r in range(1, q + 1) if fixed[r]),
                 z=np.array([t - n[r] if fixed[r] else z[r] for r in range(1, q + 1)]),
                 z_rate=np.array([1.0 if fixed[r] else rate[r] for r in range(1, q + 1)]),
                 lprime=lp, lsecond=lpp,
@@ -498,12 +489,12 @@ def project(tree: RootedTree, fhat_col, keep_path=False,
     minimizer: optimal mutant fractions ``m_star`` on the simplex, model
     frequencies ``f_star``, the dual values, and the Euclidean cost.
 
-    With ``keep_path=True`` the result carries the list of per-segment
-    :class:`PathState` records for path-structure inspection, and the
-    column is swept to the end without the active-set finish.  A dict passed
-    as ``counters`` accumulates, over every elimination of the sweep and the
-    finish, the free components, free nodes visited, reductions, star solves
-    and child edges scanned.
+    With ``keep_path=True`` the result carries one :class:`PathState` per
+    sweep segment run, up to the handover when the active-set finish
+    certifies.  A dict passed as ``counters`` accumulates, over every
+    elimination of the sweep and the finish, the free components, free
+    nodes visited, reductions, star solves and child edges scanned.  Neither
+    changes the result.
     """
     f = _column(fhat_col, tree.q)
     path = [] if keep_path else None

@@ -4,8 +4,10 @@ Every tree is rooted at node 1 and given by its parents.  The search walks
 them by branch and bound (Land & Doig): it assigns parents to nodes 2..q in
 label order, each partial assignment a forest, and drops a forest as soon
 as a lower bound on the objective of every tree completing it exceeds the
-bar, the k-th best objective known so far.  Ties between trees break by
-their Prüfer code, so the output is identical for any worker count.
+bar, the k-th best objective known so far.  The Prüfer code decides only
+between bit-equal objectives (mathematically equal ones that differ in
+their last bits rank by those bits); the output is identical for any
+worker count.
 
 * bound: :func:`_child_bounds` carries :func:`_lower_bound_block` over to
   forests, per component, and updates it per child in O(1) per column; a
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -132,8 +135,8 @@ class SearchSpec:
             raise ValueError("frequency matrix contains non-finite entries")
         if self.fhat.ndim == 1:
             self.fhat = self.fhat[:, None]
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         resolve_scaling(self.scaling)
         resolve_penalty(self.penalty, self.q)
 
@@ -630,11 +633,11 @@ def _fan_out(walk, shares, u):
 def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> SearchReport:
     """Score every labeled rooted tree on q nodes and report the best k.
 
-    Deterministic for any worker count: ranking is by objective with
-    lexicographic Prüfer-code tie-break.  At most one worker per CPU is
-    used, and none is forked when the trees complete within the levels
-    that fit one step of the walk.  Refuses q > 11 unless ``force`` (the
-    tree count grows as q^(q-2)).
+    Deterministic for any worker count: ranking is by objective, and by
+    Prüfer code only between bit-equal objectives.  At most one worker per
+    CPU is used, and none is forked when the trees complete within the
+    levels that fit one step of the walk.  Refuses q > 11 unless ``force``
+    (the tree count grows as q^(q-2)).
     """
     q = spec.q
     if workers < 1:

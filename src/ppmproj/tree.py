@@ -53,8 +53,10 @@ class RootedTree:
             raise TreeInputError("tree must have at least one node")
         parent = [0] * (q + 1)
         roots = 0
-        for i, p in enumerate(parents, start=1):
-            p = int(p)
+        for i, label in enumerate(parents, start=1):
+            p = int(label)
+            if p != label:
+                raise TreeInputError(f"parent of node {i} is {label}, not an integer")
             if p == 0:
                 roots += 1
                 if i != 1:
@@ -142,7 +144,11 @@ def decode_prufer(code, q: int) -> RootedTree:
     The leaf walk hangs the tree from node q; the path from node 1 to q is
     then reversed.
     """
-    code = tuple(map(int, code))
+    raw = tuple(code)
+    code = tuple(map(int, raw))
+    if code != raw:
+        j = next(j for j, (c, r) in enumerate(zip(code, raw)) if c != r)
+        raise TreeInputError(f"code[{j}] = {raw[j]} is not an integer")
     if q < 1:
         raise TreeInputError(f"q must be >= 1, got {q}")
     if q <= 2:

@@ -1,6 +1,7 @@
 """Tests for the path-following sweep and its active-set finish: fixtures,
 invariants, oracle checks."""
 
+import math
 import time
 
 import numpy as np
@@ -166,6 +167,22 @@ def _path_segments(path):
     return list(zip(path[:-1], path[1:]))
 
 
+def _assert_path_invariants(path, n):
+    """Monotone boundary, L' and t along the path; slopes in [0, 1]; the
+    boundary on its lines t - n at slope 1, every node on or below its own."""
+    for a, b in _path_segments(path):
+        assert a.boundary <= b.boundary
+        assert a.lprime >= b.lprime - 1e-12
+        assert b.t < a.t
+    for state in path:
+        assert np.all(state.z_rate >= -1e-12)
+        assert np.all(state.z_rate <= 1.0 + 1e-12)
+        for j in state.boundary:
+            assert state.z[j - 1] == pytest.approx(state.t - n[j - 1], abs=1e-10)
+            assert state.z_rate[j - 1] == 1.0
+        assert np.all(state.z <= state.t - n + 1e-10)
+
+
 class TestPathProperties:
     """Path-structure property suite on random instances."""
 
@@ -185,20 +202,7 @@ class TestPathProperties:
 
             assert res.iterations <= q
             assert 1 <= len(res.path) <= q
-
-            for a, b in _path_segments(res.path):
-                assert a.boundary <= b.boundary
-                assert a.lprime >= b.lprime - 1e-12
-                assert b.t < a.t
-
-            for state in res.path:
-                assert np.all(state.z_rate >= -1e-12)
-                assert np.all(state.z_rate <= 1.0 + 1e-12)
-                for j in state.boundary:
-                    assert state.z[j - 1] == pytest.approx(
-                        state.t - n[j - 1], abs=1e-10)
-                    assert state.z_rate[j - 1] == 1.0
-                assert np.all(state.z <= state.t - n + 1e-10)
+            _assert_path_invariants(res.path, n)
 
             # Feasibility and optimality certificate of the output.
             assert np.all(res.m_star >= -1e-10)
@@ -300,10 +304,20 @@ def finishes(monkeypatch):
     return seen
 
 
+def _plain(tree, f, **kw):
+    """``project`` with a finish that never certifies, so the sweep resumes
+    and runs to the end: the plain sweep.  The ``finishes`` spy is swapped
+    out too, so it does not see these calls."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_active_set", lambda *a, **k: None)
+        return project(tree, f, **kw)
+
+
 class TestActiveSetFinish:
     """``project`` hands a column that outlasts ceil(log2 q) sweep segments,
-    with more nodes than that still free, to the active-set finish;
-    ``keep_path=True`` runs the plain sweep to the end."""
+    with more nodes than that still free, to the active-set finish, also
+    with ``keep_path=True``.  The plain sweep that the finish is checked
+    against is the finish's own fallback, reached through :func:`_plain`."""
 
     @staticmethod
     def _agree(tree, f):
@@ -312,7 +326,7 @@ class TestActiveSetFinish:
         tau = 1e-9 * max(1.0, float(np.max(np.abs(ancestor_sums(tree, f)))))
         counters = {}
         res = project(tree, f, counters=counters)
-        plain = project(tree, f, keep_path=True)
+        plain = _plain(tree, f)
         assert np.max(np.abs(res.m_star - plain.m_star)) <= tau
         assert np.max(np.abs(res.f_star - plain.f_star)) <= tau
         assert abs(res.cost - plain.cost) <= tau
@@ -367,7 +381,7 @@ class TestActiveSetFinish:
                 finished += 1
                 assert None not in finishes
                 assert kkt_residual(tree, f, res) <= 1.0
-                plain = project(tree, f, keep_path=True)
+                plain = _plain(tree, f)
                 if kkt_residual(tree, f, plain) <= 1.0:
                     assert np.max(np.abs(res.m_star - plain.m_star)) <= 1e-9
                     assert abs(res.cost - plain.cost) <= 1e-9
@@ -408,11 +422,33 @@ class TestActiveSetFinish:
             q = int(rng.integers(1, 11))
             tree = random_labeled_tree(q, rng)
             f = _near_feasible(tree, rng)
-            res, plain = project(tree, f), project(tree, f, keep_path=True)
+            res, plain = project(tree, f), _plain(tree, f, keep_path=True)
             assert res.m_star.tolist() == plain.m_star.tolist()
             assert res.cost == plain.cost
             assert res.iterations == len(plain.path)
         assert finishes == []
+
+    @pytest.mark.parametrize("q", [300, 3000])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_keep_path_records_the_run(self, shape, q, finishes):
+        # keep_path and counters only watch: the traced column runs the same
+        # finish to the same bits, and its path ends at the handover.
+        rng = np.random.default_rng([q, 7, SHAPES.index(shape)])
+        tree = _tree(shape, q, rng)
+        f = _near_feasible(tree, rng)
+        res = project(tree, f)
+        counted, traced = {}, {}
+        project(tree, f, counters=counted)
+        watched = project(tree, f, keep_path=True, counters=traced)
+        assert watched.m_star.tolist() == res.m_star.tolist()
+        assert watched.f_star.tolist() == res.f_star.tolist()
+        assert (watched.t_star, watched.cost, watched.iterations) == \
+            (res.t_star, res.cost, res.iterations)
+        assert traced == counted
+        assert len(finishes) == 3 and None not in finishes
+
+        assert 1 <= len(watched.path) <= math.ceil(math.log2(q)) + 1
+        _assert_path_invariants(watched.path, ancestor_sums(tree, f))
 
     def test_uncertified_finish_resumes_the_sweep(self, monkeypatch):
         real = projection._active_set
@@ -430,7 +466,7 @@ class TestActiveSetFinish:
         tree = galton_watson_tree(GaltonWatsonSpec(q=300), rng=rng)
         f = _near_feasible(tree, rng)
         res = project(tree, f)
-        plain = project(tree, f, keep_path=True)
+        plain = _plain(tree, f, keep_path=True)
         assert calls == [300]
         assert res.m_star.tolist() == plain.m_star.tolist()
         assert (res.t_star, res.cost) == (plain.t_star, plain.cost)
@@ -453,7 +489,7 @@ class TestActiveSetFinish:
             project(tree, f)
         assert calls == [1]
         with pytest.raises(DegeneracyError):
-            project(tree, f, keep_path=True)
+            _plain(tree, f)
 
 
 def test_mass_sums_to_one_at_small_scale():

@@ -214,6 +214,16 @@ class TestObjective:
         with pytest.raises(ValueError):
             SearchSpec(fhat=np.zeros((3, 1)), penalty="edges")
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            SearchSpec(fhat=np.zeros((3, 1)), k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        fhat = np.array([[0.9], [0.5], [0.3], [0.2]])
+        ranked = search_all(SearchSpec(fhat=fhat, k=np.int64(2))).ranked
+        assert len(ranked) == 2
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_leaf_weight_rejected(self, weight):
         with pytest.raises(ValueError, match="finite"):

@@ -98,6 +98,17 @@ class TestRootedTree:
         with pytest.raises(TreeInputError):
             RootedTree.from_parent_array([0, 2])
 
+    def test_fractional_parent_rejected(self):
+        with pytest.raises(TreeInputError, match="node 2"):
+            RootedTree.from_parent_array([0, 1.5, 1])
+        with pytest.raises(TreeInputError, match="node 3"):
+            RootedTree.from_parent_array(np.array([0.0, 1.0, 0.999]))
+
+    def test_integral_float_parents_accepted(self):
+        t = RootedTree.from_parent_array(np.array([0.0, 1.0, 1.0]))
+        assert t == RootedTree.from_parent_array([0, 1, 1])
+        assert all(type(p) is int for p in t.parent)
+
     def test_unchecked_constructor_equals_checked(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -223,6 +234,13 @@ class TestPrufer:
             decode_prufer((0, 1), 4)
         with pytest.raises(TreeInputError):
             decode_prufer((5, 1), 4)
+
+    def test_decode_rejects_fractional_labels(self):
+        with pytest.raises(TreeInputError, match=r"code\[0\]"):
+            decode_prufer([1.7], 3)
+        with pytest.raises(TreeInputError, match=r"code\[1\]"):
+            decode_prufer(np.array([2.0, 2.5, 1.0]), 5)
+        assert decode_prufer(np.array([2.0, 2.0]), 4) == decode_prufer((2, 2), 4)
 
     def test_decode_rejects_bad_length(self):
         with pytest.raises(TreeInputError):
