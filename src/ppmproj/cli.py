@@ -181,7 +181,12 @@ def _cmd_prufer(args):
         print(" ".join(str(c) for c in code) if code else "-")
     else:
         text = args.code.strip()
-        code = [] if text in ("", "-") else [int(tok) for tok in text.split()]
+        code = []
+        for pos, tok in enumerate([] if text in ("", "-") else text.split(), start=1):
+            try:
+                code.append(int(tok))
+            except ValueError:
+                raise ValueError(f"code entry {pos} is {tok!r}, not an integer") from None
         tree = decode_prufer(code, args.q)
         print(tree.to_text())
     return EXIT_OK

@@ -90,23 +90,42 @@ class ProjectionResult:
 
 
 def recover_solution(tree: RootedTree, z_star):
-    """Mutant fractions and frequencies from a completed dual minimizer.
+    """Mutant fractions and frequencies from a completed dual minimizer,
+    by :func:`_recover`, the arithmetic that ends every sweep.  O(q)."""
+    m, f, _ = _recover(tree.parent, [0.0] + np.asarray(z_star, dtype=float).tolist(),
+                       [0.0] * (tree.q + 1))
+    return np.array(m[1:]), np.array(f[1:])
+
+
+def _recover(parent, z, fhat):
+    """``(m, f, cost2)`` from the dual minimizer ``z``, all 1-indexed lists.
 
     f[i] is the negated difference of z across the edge above node i (the
-    root differencing against zero); m[i] subtracts the children's f from
-    the node's own.  O(q).
+    root differencing against z[0] = 0); m[i] subtracts the children's f
+    from the node's own; ``cost2`` is the squared distance of f from
+    ``fhat``.
     """
-    q = tree.q
-    z = np.asarray(z_star, dtype=float)
-    f = np.empty(q)
-    parent = tree.parent
-    for i in range(1, q + 1):
+    m = [0.0] * len(z)
+    f = [0.0] * len(z)
+    cost2 = 0.0
+    for i in range(1, len(z)):
         p = parent[i]
-        f[i - 1] = -z[i - 1] + (z[p - 1] if p else 0.0)
-    m = f.copy()
-    for i in range(2, q + 1):
-        m[parent[i] - 1] -= f[i - 1]
-    return m, f
+        fi = -z[i] + z[p]
+        f[i] = fi
+        m[i] += fi
+        if p:
+            m[p] -= fi
+        d = fhat[i] - fi
+        cost2 += d * d
+    return m, f, cost2
+
+
+def _newton_step(lp, lpp):
+    """The step in t that takes L' from ``lp`` to -1 at slope ``lpp``."""
+    if lpp < LSECOND_GUARD:
+        raise DegeneracyError(
+            f"curvature {lpp} vanished at finalization (expected > 0)")
+    return -(1.0 + lp) / lpp
 
 
 def _eliminate(free_desc, parent, children, fixed, n, t, z, rate, s_arr, a_arr,
@@ -183,6 +202,9 @@ def compute_rates(tree: RootedTree, boundary, counters=None):
         raise ValueError("boundary set must be nonempty")
     q = tree.q
     labels = [int(b) for b in boundary]
+    odd = [b for b, label in zip(boundary, labels) if label != b]
+    if odd:
+        raise ValueError(f"boundary labels must be integers, got {odd}")
     if not all(1 <= b <= q for b in labels):
         raise ValueError(f"boundary labels must lie in 1..{q}")
     fixed = [False] * (q + 1)
@@ -203,13 +225,13 @@ def _active_set(tree, n, fixed, counters=None):
     once the KKT conditions certify the set, None after q + 1 passes.
 
     Each pass runs :func:`_eliminate` at the previous pass's t (the first at
-    max n) and moves t along the root's line to L'(t) = z[1](t) = -1, and
-    every free value along its slope with it.  Then boundary nodes with
-    m < -tau leave the set and free nodes above their constraint line
-    ``t - n`` by more than tau join it, with tau scaled by max(1, |n|_inf).
-    A pass that moves no node certifies its solution: m >= -tau on the
-    set, m = 0 off it, z <= t - n + tau and sum(m) = 1.  ``fixed`` is
-    left as it was.
+    max n) and moves t by :func:`_newton_step` along the root's line to
+    L'(t) = z[1](t) = -1, and every free value along its slope with it.
+    Then boundary nodes with m < -tau leave the set and free nodes above
+    their constraint line ``t - n`` by more than tau join it, with tau
+    scaled by max(1, |n|_inf).  A pass that moves no node certifies its
+    solution: m >= -tau on the set, m = 0 off it, z <= t - n + tau and
+    sum(m) = 1.  ``fixed`` is left as it was.
     """
     q, parent, children, order = tree.q, tree.parent, tree.children, tree.bfs_order()
     rev = order[::-1]
@@ -222,12 +244,9 @@ def _active_set(tree, n, fixed, counters=None):
     t = max(n[1:])
     for passes in range(1, q + 2):
         free_desc = [u for u in rev if not inb[u]]
-        z1, lpp = _eliminate(free_desc, parent, children, inb, n, t, z, rate,
+        lp, lpp = _eliminate(free_desc, parent, children, inb, n, t, z, rate,
                              s_arr, a_arr, counters)
-        if lpp < LSECOND_GUARD:
-            raise DegeneracyError(
-                f"curvature {lpp} vanished at finalization (expected > 0)")
-        step = (-1.0 - z1) / lpp
+        step = _newton_step(lp, lpp)
         t += step
         moved = []
         for u in order:
@@ -266,7 +285,9 @@ def _sweep(tree, f, path=None, counters=None):
     Each segment solves its boundary set afresh with :func:`_eliminate` at
     its start t, so ``lprime`` is z[1](t) and ``lsecond`` the root's slope,
     equal to the sum of squared slope differences.  A boundary node's value
-    ``t - n[r]`` is written out only in path records and at finalization.
+    ``t - n[r]`` is written out only in path records and at finalization,
+    where :func:`_newton_step` takes the last segment to L' = -1 and
+    :func:`_recover` turns z into m, f and the cost.
     """
     q, parent, children, order = tree.q, tree.parent, tree.children, tree.bfs_order()
     n = [0.0] * (q + 1)
@@ -337,25 +358,11 @@ def _sweep(tree, f, path=None, counters=None):
         t = best
 
     if zs is None:
-        if lpp < LSECOND_GUARD:
-            raise DegeneracyError(
-                f"curvature {lpp} vanished at finalization (expected > 0)")
-        step = -(1.0 + lp) / lpp
+        step = _newton_step(lp, lpp)
         t_star = t + step
         zs = [t - n[i] + step if fixed[i] else z[i] + step * rate[i]
               for i in range(q + 1)]
-    m = [0.0] * (q + 1)
-    fstar = [0.0] * (q + 1)
-    cost2 = 0.0
-    for i in range(1, q + 1):
-        p = parent[i]
-        fi = -zs[i] + zs[p]
-        fstar[i] = fi
-        m[i] += fi
-        if p:
-            m[p] -= fi
-        d = f[i] - fi
-        cost2 += d * d
+    m, fstar, cost2 = _recover(parent, zs, f)
     return t_star, zs, m, fstar, cost2, segments + passes
 
 
@@ -373,10 +380,11 @@ def _sweep_block(parent, depth, f):
     with its tie tolerance and ``RATE_ONE_EPS``, on all trees at once and
     returns ``(cost2, uncertified)``: the (B,) squared costs and a mask of
     the rows it cannot vouch for (curvature below ``LSECOND_GUARD``, a
-    non-finite cost or too many segments).  Its arithmetic is its own (z
-    moved along the slopes, L' accumulated from L'' = the sum of squared
-    slope gaps), so its costs may differ from :func:`_sweep`'s in the last
-    bits; it builds no m, f or z vectors.
+    non-finite cost or too many segments).  It moves z along the slopes
+    from segment to segment rather than solving each afresh, and reads L'
+    = z[1] and L'' = rate[1] off the root as :func:`_eliminate` does, so
+    its costs may differ from :func:`_sweep`'s in the last bits; it builds
+    no m or f vectors.
 
     Each tree is relabelled by position in its order by depth, then label,
     so that position j's parent lies at a smaller position and the state is
@@ -413,7 +421,6 @@ def _sweep_block(parent, depth, f):
     fixed = np.zeros((q + 1, width), dtype=bool)
     fixed[1:] = n[1:] >= t - _tie_tolerance_block(t)
     z = np.zeros((q + 1, width))
-    lp = np.zeros(width)
     crossing_rate = 1.0 - RATE_ONE_EPS
 
     for _ in range(q + 1):
@@ -433,16 +440,14 @@ def _sweep_block(parent, depth, f):
         rf = rate.reshape(-1)
         for j in range(1, q + 1):
             rate[j] = np.where(fixed[j], 1.0, (rf[flat[j]] + a[j]) / one_s[j])
-        d = rate[1:] - rf[flat[1:]]
-        lpp = np.einsum("ij,ij->j", d, d)
+        lp, lpp = z[1], rate[1]
 
         c = rate[1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             pr = (n[1:] + z[1:] - t * c) / (1.0 - c)
             pr = np.where(~fixed[1:] & (c < crossing_rate) & (pr < t), pr, _NEG_INF)
             best = pr.max(axis=0)
-            lp_next = lp + (best - t) * lpp
-        done = (best == _NEG_INF) | (lp_next < -1.0)
+            done = (best == _NEG_INF) | (lp + (best - t) * lpp < -1.0)
 
         finished = np.flatnonzero(done)
         if finished.size:
@@ -467,15 +472,14 @@ def _sweep_block(parent, depth, f):
             fixed[1:] |= pr >= best - _tie_tolerance_block(best)
             z += (best - t) * rate
         # The segment's (q+1, B) arrays go before the next are made.
-        del s, a, one_s, rate, d, c, pr
+        del s, a, one_s, rate, lp, lpp, c, pr
         t = best
-        lp = lp_next
         if finished.size:
             live = live[going]
             width = live.size
             up, fcol, n, fixed, z = (
                 np.take(x, going, axis=1) for x in (up, fcol, n, fixed, z))
-            t, lp = t[going], lp[going]
+            t = t[going]
             flat = up * width + np.arange(width)
     return cost2, uncertified
 

@@ -463,12 +463,7 @@ class _Walk:
         rows = self._root()
         for u in range(2, self.q + 1):
             rows = self._expand(rows, u).take(slice(0, 4 * self.k))
-        if len(rows) >= self.k:
-            parent = rows.parent.astype(np.int64)
-            objs = sorted(
-                _evaluate_tree(_tree_from_parent(row), self.fcols, self.jfn, pen)[0]
-                for row, pen in zip(parent.tolist(), self.penalty(parent).tolist()))
-            self.bar = objs[self.k - 1]
+        self._rescore(rows.parent, self.penalty(rows.parent), np.arange(len(rows)))
 
     def open_rows(self):
         """Expand whole levels while a level fits in one step of the walk,
@@ -640,8 +635,8 @@ def search_all(spec: SearchSpec, workers: int = 1, force: bool = False) -> Searc
     (the tree count grows as q^(q-2)).
     """
     q = spec.q
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     workers = min(workers, os.cpu_count() or 1)
     if q > SEARCH_Q_LIMIT and not force:
         raise ValueError(

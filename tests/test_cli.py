@@ -250,6 +250,10 @@ class TestPruferCommand:
     def test_bad_code_exits_2(self, capsys):
         assert main(["prufer", "decode", "9 1", "--q", "4"]) == 2
 
+    def test_non_integer_token_is_named_with_its_position(self, capsys):
+        assert main(["prufer", "decode", "1 x", "--q", "4"]) == 2
+        assert "entry 2 is 'x'" in capsys.readouterr().err
+
 
 class TestUnreadableFiles:
     """A file named on the command line that cannot be opened is an input

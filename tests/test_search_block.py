@@ -100,14 +100,15 @@ class TestSweepBlock:
         parent = np.array([tree.parent for tree in scalar_trees])
         depth = depths(parent)
         fhat = self.columns(kind, np.random.default_rng(7))
-        for s in range(fhat.shape[1]):
-            col = [0.0] + fhat[:, s].tolist()
-            cost2, uncertified = _sweep_block(parent, depth, np.array(col))
-            assert cost2.shape == uncertified.shape == (len(codes),)
-            assert not uncertified.any()
-            for got, tree in zip(cost2.tolist(), scalar_trees):
-                want = _sweep(tree, col)[4]
-                assert abs(got - want) <= 1e-12 * max(1.0, want)
+        for scale in (1.0, 1e6):
+            for s in range(fhat.shape[1]):
+                col = [0.0] + (scale * fhat[:, s]).tolist()
+                cost2, uncertified = _sweep_block(parent, depth, np.array(col))
+                assert cost2.shape == uncertified.shape == (len(codes),)
+                assert not uncertified.any()
+                for got, tree in zip(cost2.tolist(), scalar_trees):
+                    want = _sweep(tree, col)[4]
+                    assert abs(got - want) <= 1e-12 * max(1.0, want)
 
     def test_non_finite_cost_is_uncertified(self):
         parent = parent_rows(all_codes(4), 4)
@@ -575,7 +576,7 @@ class TestWorkerCount:
         assert "forced in a child" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
     def test_non_positive_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             search_all(SearchSpec(fhat=np.zeros((3, 1))), workers=workers)
