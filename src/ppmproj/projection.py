@@ -15,12 +15,16 @@ minimizer into mutant fractions and frequencies, which sum to -z[1] = 1.
 :func:`_sweep`, the library's only exact sweep, serves :func:`project` and
 the exhaustive search on plain 1-indexed lists.  A segment visits only the
 free nodes, so it costs O(q).  Nearly consistent columns take about 0.9 q
-segments, so once a column has run more than ceil(log2 q) of them, with
-more nodes than that still free, the sweep hands its boundary set to
-:func:`_active_set`: eliminations that each solve a boundary set and
-correct it, until one certifies its answer by the KKT conditions (2-6 on
-such columns).  If q + 1 passes do not certify, the sweep resumes from its
-untouched state.  ``keep_path`` and ``counters`` only record this run.
+segments, so the sweep hands its boundary set to :func:`_active_set`:
+eliminations that each solve a boundary set and correct it, until one
+certifies its answer by the KKT conditions (2-6 on such columns).  It hands
+over once its forecast, the free nodes it predicts to cross before L'
+reaches -1, holds steady over half of the free nodes, with more than
+2 ceil(log2 q) of them free (after two segments on such columns); and in
+any case once it has run more than ceil(log2 q) segments with more nodes
+than that still free.  If q + 1 passes do not certify, the sweep resumes
+from its untouched state.  ``keep_path`` and ``counters`` only record this
+run.
 
 :func:`_sweep_block` runs the same segments in numpy on a block of trees at
 once, given as the search walk's parent and depth rows, and returns costs
@@ -288,6 +292,18 @@ def _sweep(tree, f, path=None, counters=None):
     ``t - n[r]`` is written out only in path records and at finalization,
     where :func:`_newton_step` takes the last segment to L' = -1 and
     :func:`_recover` turns z into m, f and the cost.
+
+    In its first ceil(log2 q) segments, while more than 2 ceil(log2 q)
+    nodes are free, the crossing scan also forecasts: it counts the free
+    nodes that cross above the Newton target ``t - (1 + L') / L''`` and
+    those that ride their constraint line at slope 1.  The forecast holds
+    steady when it lost no node since the last segment other than those
+    that joined or started to ride, at most ceil(log2 q) of the latter.
+    Once a steady forecast covers at least half of the free nodes, with
+    more than 2 ceil(log2 q) of them still free, the sweep hands over to
+    :func:`_active_set`; the backstop hands over past ceil(log2 q)
+    segments, with more nodes than that free.  The sweep hands over at
+    most once.
     """
     q, parent, children, order = tree.q, tree.parent, tree.children, tree.bfs_order()
     n = [0.0] * (q + 1)
@@ -305,13 +321,20 @@ def _sweep(tree, f, path=None, counters=None):
     neg_inf = _NEG_INF
     crossing_rate = 1.0 - RATE_ONE_EPS
     segments = 0
-    # Past this many segments, with as many nodes still free, hand over.
+    # Past this many segments, with as many nodes still free, hand over;
+    # sooner, with twice as many free, once the forecast holds steady.
     switch = (q - 1).bit_length()
+    # Free nodes forecast to cross before the last segment's Newton target,
+    # less those that joined since; q + 1 before the first forecast.
+    due = q + 1
+    riding = 0
+    steady = False
     passes = 0
     zs = None
 
     while True:
-        if switch and segments > switch and len(free_desc) > switch:
+        if switch and (segments > switch and len(free_desc) > switch
+                       or steady and len(free_desc) > 2 * switch):
             switch = 0
             done = _active_set(tree, n, fixed, counters)
             if done is None:
@@ -333,20 +356,38 @@ def _sweep(tree, f, path=None, counters=None):
             ))
 
         # Next critical value: the largest crossing point below t of a free
-        # node's path line with its constraint line.
+        # node's path line with its constraint line.  While the forecast can
+        # still hand over before the backstop, ``ahead`` counts the free
+        # nodes that cross above the Newton target, where L' would reach -1
+        # if no node joined; ``riding`` counts those that move parallel to
+        # their line, as if joined.
+        watch = segments <= switch and len(free_desc) > 2 * switch
+        target = t - (1.0 + lp) / lpp if watch and lpp >= LSECOND_GUARD else t
         best = neg_inf
+        ahead = 0
+        rode, riding = riding, 0
         for r in free_desc:
             c = rate[r]
-            pr = neg_inf
             if c < crossing_rate:
                 pr = (n[r] + z[r] - t * c) / (1.0 - c)
-                if pr >= t:
-                    pr = neg_inf
-                elif pr > best:
-                    best = pr
-            cross[r] = pr
+                if pr < t:
+                    if pr > best:
+                        best = pr
+                    if pr > target:
+                        ahead += 1
+                    cross[r] = pr
+                else:
+                    cross[r] = neg_inf
+            else:
+                riding += 1
+                cross[r] = neg_inf
         if best == neg_inf or lp + (best - t) * lpp < -1.0:
             break
+        # Steady: the forecast lost only nodes that joined or began to ride,
+        # at most ``switch`` of the latter: a new boundary node that leaves
+        # a whole subtree riding below it (N(0, 1) chains) is no sign.
+        steady = (watch and 2 * ahead >= len(free_desc)
+                  and ahead >= due - min(riding - rode, switch))
         thresh = best - tie_tolerance(best)
         still_free = []
         for r in free_desc:
@@ -354,6 +395,8 @@ def _sweep(tree, f, path=None, counters=None):
                 fixed[r] = True
             else:
                 still_free.append(r)
+        if watch:
+            due = ahead - (len(free_desc) - len(still_free))
         free_desc = still_free
         t = best
 

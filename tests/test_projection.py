@@ -657,11 +657,11 @@ def _subtree_sums(tree, m):
     return total
 
 
-def _near_feasible(tree, rng):
-    """U m for flat Dirichlet fractions m, plus 0.01 / sqrt(q) N(0, 1)."""
+def _near_feasible(tree, rng, noise=0.01):
+    """U m for flat Dirichlet fractions m, plus noise / sqrt(q) N(0, 1)."""
     q = tree.q
     return (_subtree_sums(tree, rng.dirichlet(np.ones(q)))
-            + 0.01 / np.sqrt(q) * rng.standard_normal(q))
+            + noise / np.sqrt(q) * rng.standard_normal(q))
 
 
 def _column(kind, tree, rng):
@@ -715,8 +715,10 @@ def _plain(tree, f, **kw):
 
 
 class TestActiveSetFinish:
-    """``project`` hands a column that outlasts ceil(log2 q) sweep segments,
-    with more nodes than that still free, to the active-set finish, also
+    """``project`` hands a column to the active-set finish once the sweep's
+    forecast of the nodes about to join holds steady, with more than
+    2 ceil(log2 q) nodes free, and in any case once the column outlasts
+    ceil(log2 q) sweep segments with more nodes than that still free; also
     with ``keep_path=True``.  The plain sweep that the finish is checked
     against is the finish's own fallback, reached through :func:`_plain`."""
 
@@ -848,8 +850,39 @@ class TestActiveSetFinish:
         assert traced == counted
         assert len(finishes) == 3 and None not in finishes
 
-        assert 1 <= len(watched.path) <= math.ceil(math.log2(q)) + 1
+        assert 1 <= len(watched.path) <= 3
         _assert_path_invariants(watched.path, ancestor_sums(tree, f))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_normal_columns_finish_only_through_the_backstop(self, shape, finishes):
+        # On N(0, 1) columns the forecast does not hold steady, so a column
+        # reaches the finish, if at all, past ceil(log2 q) segments.
+        q = 2000
+        rng = np.random.default_rng([q, 1, SHAPES.index(shape)])
+        for _ in range(4):
+            tree = _tree(shape, q, rng)
+            del finishes[:]
+            res = project(tree, _column("normal", tree, rng), keep_path=True)
+            if finishes:
+                assert len(res.path) > math.ceil(math.log2(q))
+
+    @pytest.mark.parametrize("noise", [1e-3, 0.01, 0.1, 1.0, "quantized"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_noise_sweep_is_capped_by_the_backstop(self, shape, noise, finishes):
+        # From nearly feasible to N(0, 1)-like columns, and with ties: every
+        # answer agrees with the plain sweep, and a column whose forecast
+        # never holds steady still hands over at the backstop.
+        q = 1000
+        rng = np.random.default_rng([q, 2, SHAPES.index(shape)])
+        tree = _tree(shape, q, rng)
+        if noise == "quantized":
+            f = _column("quantized", tree, rng)
+        else:
+            f = _near_feasible(tree, rng, noise)
+        self._agree(tree, f)
+        res = project(tree, f, keep_path=True)
+        assert len(res.path) <= math.ceil(math.log2(q)) + 1
+        assert None not in finishes
 
     def test_uncertified_finish_resumes_the_sweep(self, monkeypatch):
         real = projection._active_set
