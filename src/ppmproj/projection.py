@@ -421,13 +421,13 @@ def _sweep_block(parent, depth, f):
     node's parent and depth, and ``f`` is the column as a length-(q+1)
     vector; column 0 of each is unused.  Runs :func:`_sweep`'s segments,
     with its tie tolerance and ``RATE_ONE_EPS``, on all trees at once and
-    returns ``(cost2, uncertified)``: the (B,) squared costs and a mask of
-    the rows it cannot vouch for (curvature below ``LSECOND_GUARD``, a
-    non-finite cost or too many segments).  It moves z along the slopes
-    from segment to segment rather than solving each afresh, and reads L'
-    = z[1] and L'' = rate[1] off the root as :func:`_eliminate` does, so
-    its costs may differ from :func:`_sweep`'s in the last bits; it builds
-    no m or f vectors.
+    returns the (B,) squared costs, NaN for a row it cannot vouch for
+    (curvature below ``LSECOND_GUARD``, a non-finite cost or more than q+1
+    segments).  It moves z along the slopes from segment to segment rather
+    than solving each afresh, reads L' = z[1] and L'' = rate[1] off the
+    root as :func:`_eliminate` does and takes :func:`_newton_step`'s step,
+    so its costs may differ from :func:`_sweep`'s in the last bits; it
+    builds no m or f vectors.
 
     Each tree is relabelled by position in its order by depth, then label,
     so that position j's parent lies at a smaller position and the state is
@@ -452,7 +452,6 @@ def _sweep_block(parent, depth, f):
     del order, pos
 
     cost2 = np.full(b, np.nan)
-    uncertified = np.ones(b, dtype=bool)
     live = np.arange(b)
     width = b
     flat = up * width + np.arange(width)
@@ -496,7 +495,7 @@ def _sweep_block(parent, depth, f):
         if finished.size:
             with np.errstate(divide="ignore", invalid="ignore"):
                 td, lppd = t[finished], lpp[finished]
-                step = (td - (1.0 + lp[finished]) / lppd) - td
+                step = -(1.0 + lp[finished]) / lppd
                 zs = np.where(np.take(fixed, finished, axis=1),
                               td - np.take(n, finished, axis=1) + step,
                               np.take(z, finished, axis=1)
@@ -505,8 +504,7 @@ def _sweep_block(parent, depth, f):
                 diff = np.take(fcol, finished, axis=1)[1:] - fd[1:]
                 c2 = np.einsum("ij,ij->j", diff, diff)
             rows_done = live[finished]
-            cost2[rows_done] = c2
-            uncertified[rows_done] = ~(lppd >= LSECOND_GUARD) | ~np.isfinite(c2)
+            cost2[rows_done] = np.where((lppd >= LSECOND_GUARD) & np.isfinite(c2), c2, np.nan)
             going = np.flatnonzero(~done)
             if not going.size:
                 break
@@ -524,7 +522,7 @@ def _sweep_block(parent, depth, f):
                 np.take(x, going, axis=1) for x in (up, fcol, n, fixed, z))
             t = t[going]
             flat = up * width + np.arange(width)
-    return cost2, uncertified
+    return cost2
 
 
 def project(tree: RootedTree, fhat_col, keep_path=False,

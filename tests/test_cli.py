@@ -156,6 +156,15 @@ class TestSearchCommand:
         assert "finite" in captured.err
         assert captured.out == ""
 
+    def test_overflowing_scale_exits_3(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        pio.save_matrix(1e160 * np.random.default_rng(0).random((5, 2)), matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["search", str(matrix), "--k", "3"]) == 3
+        captured = capsys.readouterr()
+        assert "numerical degeneracy" in captured.err
+        assert captured.out == ""
+
     def test_non_numeric_leaf_weight_exits_2(self, tmp_path, capsys):
         matrix = tmp_path / "m.csv"
         pio.save_matrix(np.full((4, 1), 0.25), matrix)

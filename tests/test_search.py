@@ -17,6 +17,7 @@ from ppmproj import (
 )
 from ppmproj import search as search_mod
 from ppmproj.generate import random_instance
+from ppmproj.projection import DegeneracyError
 from ppmproj.search import CATEGORIES, _deal, _Walk
 
 
@@ -134,6 +135,14 @@ class TestSearchAll:
         assert "force=True" in str(refused.value)
         assert "--force" in str(refused.value)
 
+    def test_overflowing_scale_raises_in_place_of_an_empty_ranking(self):
+        # At |F| near 1e160 the bound's squares overflow and every lower
+        # objective is NaN, so no tree can be ranked.
+        fhat = 1e160 * np.random.default_rng(0).random((5, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegeneracyError, match="0 of 3 trees"):
+                search_all(SearchSpec(fhat=fhat, k=3))
+
     def test_solutions_match_direct_projection(self):
         from ppmproj import project_matrix
         rng = np.random.default_rng(5)
@@ -205,6 +214,11 @@ class TestObjective:
     def test_three_dimensional_frequencies_rejected(self):
         with pytest.raises(ValueError, match="3-D"):
             SearchSpec(fhat=np.zeros((4, 2, 1)))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0,)])
+    def test_empty_frequencies_rejected(self, shape):
+        with pytest.raises(ValueError, match="q >= 1 rows and p >= 1 columns"):
+            SearchSpec(fhat=np.zeros(shape))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmproj import SearchSpec, count_trees, search_all
+from ppmproj import projection
 from ppmproj import search as search_mod
 from ppmproj.cli import main
 from ppmproj.generate import random_instance
@@ -103,18 +104,42 @@ class TestSweepBlock:
         for scale in (1.0, 1e6):
             for s in range(fhat.shape[1]):
                 col = [0.0] + (scale * fhat[:, s]).tolist()
-                cost2, uncertified = _sweep_block(parent, depth, np.array(col))
-                assert cost2.shape == uncertified.shape == (len(codes),)
-                assert not uncertified.any()
+                cost2 = _sweep_block(parent, depth, np.array(col))
+                assert cost2.shape == (len(codes),)
+                assert not np.isnan(cost2).any()
+                for got, tree in zip(cost2.tolist(), scalar_trees):
+                    want = _sweep(tree, col)[4]
+                    assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: both sweeps group events within an absolute tie "
+        "tolerance, so at scale 1e-8 their costs differ in the ninth digit"))
+    def test_cost_matches_scalar_sweep_at_small_scale(self):
+        q = self.Q
+        codes = all_codes(q)
+        scalar_trees = [decode_prufer(c, q) for c in codes.tolist()]
+        parent = np.array([tree.parent for tree in scalar_trees])
+        depth = depths(parent)
+        for kind in ("normal", "feasible", "quantized", "duplicated"):
+            fhat = self.columns(kind, np.random.default_rng(7))
+            for s in range(fhat.shape[1]):
+                col = [0.0] + (1e-8 * fhat[:, s]).tolist()
+                cost2 = _sweep_block(parent, depth, np.array(col))
                 for got, tree in zip(cost2.tolist(), scalar_trees):
                     want = _sweep(tree, col)[4]
                     assert abs(got - want) <= 1e-12 * max(1.0, want)
 
     def test_non_finite_cost_is_uncertified(self):
         parent = parent_rows(all_codes(4), 4)
-        cost2, uncertified = _sweep_block(parent, depths(parent),
-                                          np.array([0.0, 0.5, np.nan, 0.1, 0.2]))
-        assert uncertified.all()
+        cost2 = _sweep_block(parent, depths(parent), np.array([0.0, 0.5, np.nan, 0.1, 0.2]))
+        assert np.isnan(cost2).all()
+
+    def test_vanishing_curvature_is_uncertified(self, monkeypatch):
+        # L'' is at most 1, so a guard above 1 fails every row.
+        monkeypatch.setattr(projection, "LSECOND_GUARD", 2.0)
+        parent = parent_rows(all_codes(5), 5)
+        col = [0.0] + np.random.default_rng(5).standard_normal(5).tolist()
+        assert np.isnan(_sweep_block(parent, depths(parent), np.array(col))).all()
 
     @pytest.mark.parametrize("q", [11, 12])
     def test_int8_rows_of_a_chain(self, q):
@@ -124,9 +149,8 @@ class TestSweepBlock:
         parent[0, 2:] = np.arange(1, q)
         depth = depths(parent).astype(np.int8)
         col = [0.0] + np.random.default_rng(q).standard_normal(q).tolist()
-        cost2, uncertified = _sweep_block(parent, depth, np.array(col))
+        cost2 = _sweep_block(parent, depth, np.array(col))
         want = _sweep(_tree_from_parent(parent[0].tolist()), col)[4]
-        assert not uncertified.any()
         assert abs(cost2[0] - want) <= 1e-12 * max(1.0, want)
 
 
@@ -294,15 +318,14 @@ class TestScreen:
         q = 6
         spec = SearchSpec(fhat=np.random.default_rng(3).standard_normal((q, 2)), k=3)
         ranking = reference_ranking(spec)
-        # The best tree gets a NaN cost, the worst an uncertified flag.
+        # The best and the worst tree get a NaN cost.
         best, worst = (decode_prufer(ranking[i][1], q).parent for i in (0, -1))
         sweep_block = search_mod._sweep_block
 
         def spoiled(parent, depth, f):
-            cost2, uncertified = sweep_block(parent, depth, f)
-            cost2[(parent == best).all(axis=1)] = np.nan
-            uncertified[(parent == worst).all(axis=1)] = True
-            return cost2, uncertified
+            cost2 = sweep_block(parent, depth, f)
+            cost2[(parent == best).all(axis=1) | (parent == worst).all(axis=1)] = np.nan
+            return cost2
 
         evaluate = search_mod._evaluate_tree
         rescored = []

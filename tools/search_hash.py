@@ -1,13 +1,18 @@
-"""One sha256 over a fixed grid of exhaustive searches, to show that a change
-to the search leaves every reported number bit-identical.
+"""Two sha256 lines over a fixed grid of exhaustive searches: the first shows
+that a change to the search leaves every reported number bit-identical, the
+second that it does the same work.
 
 The grid is q = 6 and 7; N(0, 1) and feasible data (p = 3, k = 5); the
 identity, log1p and square scalings; the zero, ``leaves:0.3`` and a callable
 penalty; and 1, 2 and 8 workers: 108 searches.  The search uses at most
 one worker per CPU, so the 8-worker searches deal 8 shares only on a machine
 with 8 CPUs or more.  Each search contributes its codes, its objectives and
-costs as ``float.hex``, and the sha256 of its m* and f* bytes.  ``nodes_bounded``, ``trees_swept`` and ``trees_rescored``
-are left out, since they count the work of the search, not its result.
+costs as ``float.hex``, and the sha256 of its m* and f* bytes.
+
+The second line hashes ``trees_swept``, ``trees_rescored`` and
+``nodes_bounded`` of the 36 one-worker searches.  These counts are
+deterministic and do not depend on the machine; with more workers they
+depend on the CPU count, so those searches are left out of this line.
 
 Run it against the source tree to be checked:
 
@@ -53,6 +58,7 @@ def report_lines(report):
 
 def main():
     digest = hashlib.sha256()
+    counts = hashlib.sha256()
     for q in QS:
         for kind in ("normal", "feasible"):
             fhat = instance(q, kind)
@@ -65,7 +71,12 @@ def main():
                         header = f"q={q} {kind} {scaling} {name} workers={workers}"
                         for line in [header, *report_lines(report)]:
                             digest.update(line.encode() + b"\n")
+                        if workers == 1:
+                            line = (f"{header} {report.trees_swept} {report.trees_rescored}"
+                                    f" {report.nodes_bounded}")
+                            counts.update(line.encode() + b"\n")
     print(digest.hexdigest())
+    print(counts.hexdigest())
     return 0
 
 
