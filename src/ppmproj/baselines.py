@@ -9,7 +9,11 @@ tolerance, and it records the trace.
 The ancestry matrix is never inverted: its inverse is I minus the
 closest-ancestor adjacency, so the dual quadratic is applied with a parent
 difference followed by a child-sum subtraction, and the primal products use
-per-depth batched path and subtree sums.  The ADMM solvers apply their
+per-depth batched path and subtree sums.  Each iteration applies each tree
+operator once: the primal residual f - U m feeds both the objective and the
+next gradient, and a dual iterate's parent difference d feeds the objective,
+the mutant fractions (the child-sum subtraction of -d) and, in
+:func:`pgd_dual`, the next gradient.  The ADMM solvers apply their
 quadratic prox through a cached inverse of the SPD prox matrix, one dense
 matrix-vector product per iteration.
 """
@@ -125,16 +129,6 @@ class TreeOps:
         nr = self.nonroot
         np.subtract.at(out, self.parent_idx[nr], w[nr])
         return out
-
-    def recover_fractions(self, z):
-        """Mutant fractions and frequencies from a dual point; O(q) vectorized."""
-        z = np.asarray(z, dtype=float)
-        f = -z.copy()
-        nr = self.nonroot
-        f[nr] += z[self.parent_idx[nr]]
-        m = f.copy()
-        np.subtract.at(m, self.parent_idx[nr], f[nr])
-        return m, f
 
     def gram_lmax(self):
         """Power-iteration estimate of the largest eigenvalue of U^T U."""
@@ -316,8 +310,8 @@ def admm_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
             t = 0.5 * (x_t + u_t + x_gt + u_gt)
             u_t = u_t + alpha * (x_t - t)
             u_gt = u_gt + alpha * (x_gt - t)
-            m, _ = ops.recover_fractions(z)
-            yield t + 0.5 * float(np.sum(ops.diff_parent(z) ** 2)), (z, t, m)
+            d = ops.diff_parent(z)
+            yield t + 0.5 * float(np.sum(d ** 2)), (z, t, ops.subtract_children(-d))
 
     return _iterate(steps(), np.zeros(q), cfg, reference_m)
 
@@ -342,10 +336,11 @@ def pgd_primal(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     alpha = cfg.alpha
 
     def steps(m):
+        residual = f - ops.subtree_sum(m)
         while True:
-            residual = f - ops.subtree_sum(m)
             m = simplex_project(m + alpha * ops.ancestor_cumsum(residual))
-            yield float(np.linalg.norm(f - ops.subtree_sum(m))), (m,)
+            residual = f - ops.subtree_sum(m)
+            yield float(np.linalg.norm(residual)), (m,)
 
     m = simplex_project(np.zeros(tree.q))
     return _iterate(steps(m), m, cfg, reference_m, _DivergenceGuard())
@@ -369,12 +364,13 @@ def pgd_dual(tree: RootedTree, fhat_col, cfg: SolverConfig = None,
     def steps():
         z = np.zeros(tree.q)
         t = float(np.max(n))
+        d = ops.diff_parent(z)
         while True:
-            z = z - alpha * ops.subtract_children(ops.diff_parent(z))
+            z = z - alpha * ops.subtract_children(d)
             t = t - alpha
             z, t = polyhedron_project(z, t, n)
-            m, _ = ops.recover_fractions(z)
-            yield t + 0.5 * float(np.sum(ops.diff_parent(z) ** 2)), (z, t, m)
+            d = ops.diff_parent(z)
+            yield t + 0.5 * float(np.sum(d ** 2)), (z, t, ops.subtract_children(-d))
 
     return _iterate(steps(), np.zeros(tree.q), cfg, reference_m, _DivergenceGuard())
 

@@ -470,18 +470,16 @@ def _sweep_block(parent, depth, f):
         a = np.zeros((q + 1, width))
         sf = s.reshape(-1)
         af = a.reshape(-1)
-        one_s = np.empty((q + 1, width))
         for j in range(q, 1, -1):
-            d = np.add(s[j], 1.0, out=one_s[j])
+            d = s[j] + 1.0
             fx = fixed[j]
             # The indices are unique; add.at is only the faster scatter.
             np.add.at(sf, flat[j], np.where(fx, 1.0, s[j] / d))
             np.add.at(af, flat[j], np.where(fx, 1.0, a[j] / d))
-        np.add(s[1], 1.0, out=one_s[1])
         rate = np.zeros((q + 1, width))
         rf = rate.reshape(-1)
         for j in range(1, q + 1):
-            rate[j] = np.where(fixed[j], 1.0, (rf[flat[j]] + a[j]) / one_s[j])
+            rate[j] = np.where(fixed[j], 1.0, (rf[flat[j]] + a[j]) / (s[j] + 1.0))
         lp, lpp = z[1], rate[1]
 
         c = rate[1:]
@@ -513,7 +511,7 @@ def _sweep_block(parent, depth, f):
             fixed[1:] |= pr >= best - _tie_tolerance_block(best)
             z += (best - t) * rate
         # The segment's (q+1, B) arrays go before the next are made.
-        del s, a, one_s, rate, lp, lpp, c, pr
+        del s, a, rate, lp, lpp, c, pr
         t = best
         if finished.size:
             live = live[going]
@@ -545,9 +543,12 @@ def project(tree: RootedTree, fhat_col, keep_path=False,
     path = [] if keep_path else None
     t_star, z, m, fv, cost2, iterations = _sweep(
         tree, [0.0] + f.tolist(), path=path, counters=counters)
+    f_star = np.array(fv[1:])
+    # Past |F̂| ~ 1e154 the squares overflow; hypot scales them instead.
+    cost = math.sqrt(cost2) if math.isfinite(cost2) else math.hypot(*(f - f_star))
     return ProjectionResult(
         t_star=t_star, z_star=np.array(z[1:]), m_star=np.array(m[1:]),
-        f_star=np.array(fv[1:]), cost=math.sqrt(cost2), iterations=iterations,
+        f_star=f_star, cost=cost, iterations=iterations,
         rate_recomputations=iterations, path=path,
     )
 
@@ -569,5 +570,11 @@ def project_matrix(tree: RootedTree, fhat):
     if mat.shape[0] != tree.q:
         raise ValueError(f"matrix has {mat.shape[0]} rows, tree has {tree.q} nodes")
     results = [project(tree, mat[:, s]) for s in range(mat.shape[1])]
-    total = math.sqrt(sum(r.cost ** 2 for r in results))
+    costs = [r.cost for r in results]
+    try:
+        total = math.sqrt(sum(c ** 2 for c in costs))
+    except OverflowError:  # float ** raises where float * gives inf
+        total = math.inf
+    if not math.isfinite(total):
+        total = math.hypot(*costs)
     return results, total

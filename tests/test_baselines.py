@@ -2,6 +2,7 @@
 
 import io
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ppmproj import (
     admm_primal,
     ancestry_matrix,
     autotune,
+    closest_ancestor_matrix,
     pgd_dual,
     pgd_primal,
     polyhedron_project,
@@ -185,6 +187,61 @@ class TestTreeOps:
             dual = reference(lambda x: ops.subtract_children(ops.diff_parent(x)), q)
             assert ops.gram_lmax() == gram
             assert _dual_lmax(ops) == dual
+
+
+class TestPassesPerIteration:
+    """Each iteration applies each tree pass it needs once; the trace
+    objective and the returned m agree with the dense matrices."""
+
+    ITERS = 6
+    # A fixed step, so that no power iteration runs inside the count, and a
+    # tolerance no iterate change reaches, so that all ITERS iterations run.
+    CFG = SolverConfig(rho=1.0, alpha=0.05, max_iters=ITERS, tol=1e-300)
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(11)
+        tree = random_labeled_tree(9, rng)
+        return tree, rng.random(9)
+
+    @staticmethod
+    def count_calls(monkeypatch, solver, tree, f, cfg):
+        calls = {}
+        for name, method in list(vars(TreeOps).items()):
+            if callable(method) and not name.startswith("_"):
+                def spy(self, *args, _name=name, _method=method):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _method(self, *args)
+                monkeypatch.setattr(TreeOps, name, spy)
+        out = solver(tree, f, cfg)
+        monkeypatch.undo()
+        assert out[-1].iterations == list(range(1, cfg.max_iters + 1))
+        return calls, out
+
+    def test_pgd_primal(self, monkeypatch):
+        tree, f = self.instance()
+        n = self.ITERS
+        calls, (m, trace) = self.count_calls(monkeypatch, pgd_primal, tree, f, self.CFG)
+        assert calls == {"subtree_sum": n + 1, "ancestor_cumsum": n}
+        u = ancestry_matrix(tree).astype(float)
+        prev = pgd_primal(tree, f, replace(self.CFG, max_iters=n - 1))[0]
+        want = simplex_project(prev + self.CFG.alpha * u.T @ (f - u @ prev))
+        assert m == pytest.approx(want, abs=1e-12)
+        assert trace.objectives[-1] == pytest.approx(np.linalg.norm(f - u @ m), abs=1e-12)
+
+    @pytest.mark.parametrize("solver, gradients", [(pgd_dual, 1), (admm_dual, 0)])
+    def test_dual_solvers(self, monkeypatch, solver, gradients):
+        tree, f = self.instance()
+        n = self.ITERS
+        calls, (z, t, m, trace) = self.count_calls(monkeypatch, solver, tree, f, self.CFG)
+        # pgd_dual takes one parent difference of its zero start for the
+        # first gradient and then one child-sum subtraction per gradient.
+        assert calls == {"diff_parent": n + gradients,
+                         "subtract_children": n + gradients * n}
+        uinv = np.eye(tree.q) - closest_ancestor_matrix(tree)
+        d = uinv.T @ z
+        assert m == pytest.approx(uinv @ -d, abs=1e-12)
+        assert trace.objectives[-1] == pytest.approx(t + 0.5 * d @ d, abs=1e-12)
 
 
 CHAIN_CFG = SolverConfig(rho=1.0, alpha=1.0, max_iters=8000, tol=1e-9)

@@ -91,6 +91,20 @@ class TestProjectCommand:
         assert main(["project", str(tree), str(matrix), "-o", str(out)]) == 0
         assert "outside [0, 1]" in capsys.readouterr().err
 
+    def test_huge_column_writes_finite_costs(self, tmp_path):
+        tree = tmp_path / "t.tree"
+        matrix = tmp_path / "huge.csv"
+        out = tmp_path / "r.json"
+        tree.write_text("0 1 1 2\n")
+        matrix.write_text("".join(f"{1e300 * v!r}\n" for v in (0.3, 0.5, 0.2, 0.9)))
+        assert main(["project", str(tree), str(matrix), "-o", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["total_cost"] == payload["cost_per_column"][0] > 1e300
+
     def test_degeneracy_maps_to_exit_3(self, chain_files, monkeypatch, capsys):
         from ppmproj.projection import DegeneracyError
         import ppmproj.cli as cli

@@ -212,6 +212,27 @@ class TestProjectMatrix:
         with pytest.raises(ValueError):
             project_matrix(chain(2), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("scale", [1.4e154, 1e300])
+    def test_costs_past_the_square_overflow_are_finite(self, scale):
+        tree = RootedTree.from_parent_array([0, 1, 1, 2])
+        f = scale * np.array([0.3, 0.5, 0.2, 0.9])
+        res = project(tree, f)
+        assert math.isfinite(res.cost)
+        assert res.cost == math.hypot(*(f - res.f_star))
+        results, total = project_matrix(tree, np.c_[f, 2.0 * f])
+        assert math.isfinite(total)
+        assert total == math.hypot(*(r.cost for r in results))
+
+    def test_costs_at_ordinary_scale_are_root_sums_of_squares(self):
+        rng = np.random.default_rng(3)
+        tree = random_labeled_tree(7, rng)
+        fhat = rng.standard_normal((7, 4))
+        results, total = project_matrix(tree, fhat)
+        assert total == math.sqrt(sum(r.cost ** 2 for r in results))
+        for s, res in enumerate(results):
+            assert res.cost == math.sqrt(sum(float(d) * float(d)
+                                             for d in fhat[:, s] - res.f_star))
+
 
 class TestNextCritical:
     """The next critical value: the largest crossing point below t of a free
