@@ -14,17 +14,20 @@ minimizer into mutant fractions and frequencies, which sum to -z[1] = 1.
 
 :func:`_sweep`, the library's only exact sweep, serves :func:`project` and
 the exhaustive search on plain 1-indexed lists.  A segment visits only the
-free nodes, so it costs O(q).  Nearly consistent columns take about 0.9 q
-segments, so the sweep hands its boundary set to :func:`_active_set`:
-eliminations that each solve a boundary set and correct it, until one
-certifies its answer by the KKT conditions (2-6 on such columns).  It hands
-over once its forecast, the free nodes it predicts to cross before L'
-reaches -1, holds steady over half of the free nodes, with more than
-2 ceil(log2 q) of them free (after two segments on such columns); and in
-any case once it has run more than ceil(log2 q) segments with more nodes
-than that still free.  If q + 1 passes do not certify, the sweep resumes
-from its untouched state.  ``keep_path`` and ``counters`` only record this
-run.
+active free nodes: those above a boundary node, and the top of each free
+subtree that holds none.  Every node of such a subtree moves with its top,
+so the top stands in for it, and a segment costs O(q) at most; on N(0, 1)
+columns it visits a few percent of the free nodes of a branching tree.
+Nearly consistent columns take about 0.9 q segments, so the sweep hands its
+boundary set to :func:`_active_set`: eliminations that each solve a
+boundary set and correct it, until one certifies its answer by the KKT
+conditions (2-6 on such columns).  It hands over once its forecast, the
+free nodes it predicts to cross before L' reaches -1, holds steady over
+half of the free nodes, with more than 2 ceil(log2 q) of them free (after
+two segments on such columns); and in any case once it has run more than
+ceil(log2 q) segments with more nodes than that still free.  If q + 1
+passes do not certify, the sweep resumes from its untouched state.
+``keep_path`` and ``counters`` only record this run.
 
 :func:`_sweep_block` runs the same segments in numpy on a block of trees at
 once, given as the search walk's parent and depth rows, and returns costs
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -53,6 +57,13 @@ _NEG_INF = float("-inf")
 _KKT_RTOL = 1e-12
 # Simultaneous boundary events at t lie within this times max(|t|, 1).
 _TIE_RTOL = 1e-9
+# From this many nodes up, :func:`_sweep` lets the top of a free subtree
+# without boundary nodes stand in for the subtree.  Per call, against every
+# free node its own, on N(0, 1) and near-feasible columns over four tree
+# shapes (2-core Xeon VM, Python 3.11, two runs), stand-ins took 1.03-1.22x
+# the time at q = 7-32, 1.00-1.02x at q = 48, and at q = 64 0.92-0.94x
+# (N(0, 1)) and 0.98-0.99x (near-feasible).
+_STAND_IN_Q = 64
 
 
 class DegeneracyError(ArithmeticError):
@@ -86,8 +97,9 @@ class ProjectionResult:
     m_star: np.ndarray
     f_star: np.ndarray
     cost: float
-    # Sweep segments plus active-set finish passes: each is one O(q)
-    # elimination over the free nodes.
+    # Sweep segments plus active-set finish passes: each is one elimination,
+    # over the active free nodes in a segment (see ``_sweep``) and over all
+    # free nodes in a pass; O(q) at most.
     iterations: int
     rate_recomputations: int
     path: Optional[list] = None
@@ -275,6 +287,75 @@ def _active_set(tree, n, fixed, counters=None):
     return None
 
 
+def _below(top, children, n, hi, lo, cnt, zt, t, c, target):
+    """``(best, ahead)`` over the subtree of the stand-in ``top``, whose nodes
+    all share its value ``zt`` and slope ``c``: the largest crossing point
+    below t, and how many crossings lie in (target, t).  A subtree whose
+    range of n settles both is not entered."""
+    tc, dc = t * c, 1.0 - c
+    best, ahead = _NEG_INF, 0
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        phi = (hi[v] + zt - tc) / dc
+        if phi < t:
+            if phi > best:
+                best = phi
+            if phi <= target:
+                continue
+            if (lo[v] + zt - tc) / dc > target:
+                ahead += cnt[v]
+                continue
+        p = (n[v] + zt - tc) / dc
+        if p < t:
+            if p > best:
+                best = p
+            if p > target:
+                ahead += 1
+        stack.extend(children[v])
+    return best, ahead
+
+
+def _split(top, parent, children, n, hi, lo, cnt, fixed, active, zt, t, c,
+           thresh):
+    """Fix the nodes of the stand-in ``top``'s subtree whose crossing point
+    lies in [thresh, t).  Returns how many, and the free nodes that now
+    stand for the subtree, children first: those above a new boundary node,
+    which stand for themselves, and the tops of the free subtrees left
+    hanging off them."""
+    tc, dc = t * c, 1.0 - c
+    joined = []
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        if thresh <= (n[v] + zt - tc) / dc < t:
+            joined.append(v)
+        for w in children[v]:
+            if (hi[w] + zt - tc) / dc >= thresh:
+                stack.append(w)
+    for v in joined:
+        fixed[v] = True
+        while not active[v]:
+            active[v] = True
+            hi[v] = lo[v] = n[v]
+            cnt[v] = 1
+            v = parent[v]
+    hi[top] = lo[top] = n[top]
+    cnt[top] = 1
+    pre = []
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        for w in children[v]:
+            if active[w]:
+                stack.append(w)
+            else:
+                active[w] = True
+                pre.append(w)
+    return len(joined), [v for v in reversed(pre) if not fixed[v]]
+
+
 def _sweep(tree, f, path=None, counters=None):
     """Project one column onto ``tree``.
 
@@ -293,6 +374,18 @@ def _sweep(tree, f, path=None, counters=None):
     where :func:`_newton_step` takes the last segment to L' = -1 and
     :func:`_recover` turns z into m, f and the cost.
 
+    Segments visit only the active free nodes: those with a boundary node
+    below them, and the top of each free subtree that holds none.  Every
+    node of such a subtree has its top's value and slope, since each step
+    of the elimination there computes ``(x + 0.0) / 1.0``, so the top stands
+    in for the subtree: its crossing point is the subtree's best, that of
+    its largest ancestor sum n.  The subtree is entered only when that
+    point joins (:func:`_split`), when it rounds to t or above, or when the
+    forecast needs its count and its range of n does not settle it
+    (:func:`_below`); its values are written out with the top's in path
+    records and at finalization.  Below ``_STAND_IN_Q`` nodes every free
+    node stands for itself.
+
     In its first ceil(log2 q) segments, while more than 2 ceil(log2 q)
     nodes are free, the crossing scan also forecasts: it counts the free
     nodes that cross above the Newton target ``t - (1 + L') / L''`` and
@@ -310,9 +403,39 @@ def _sweep(tree, f, path=None, counters=None):
     for v in order:
         n[v] = f[v] + n[parent[v]]
     t = max(n[1:])
-    eps = tie_tolerance(t)
-    fixed = [False] + [n[v] >= t - eps for v in range(1, q + 1)]
-    free_desc = [v for v in reversed(order) if not fixed[v]]
+    thr = t - tie_tolerance(t)
+    fixed = [x >= thr for x in n]
+    fixed[0] = False
+    # A stand-in's largest and smallest n and its subtree's size; n, n and 1
+    # for a node that stands for itself.
+    cnt = [1] * (q + 1)
+    if q < _STAND_IN_Q:
+        hi = lo = n
+        active = None
+        free_desc = [v for v in reversed(order) if not fixed[v]]
+        nfree = len(free_desc)
+    else:
+        rev = order[::-1]
+        nfree = fixed.count(False) - 1
+        # Active: the boundary nodes, the free nodes above them (index 0
+        # anchors the root) and the free nodes hanging off either.
+        active = [False] * (q + 1)
+        active[0] = True
+        for v in compress(range(q + 1), fixed):
+            while not active[v]:
+                active[v] = True
+                v = parent[v]
+        free_desc = [v for v in rev if not fixed[v] and active[parent[v]]]
+        for v in free_desc:
+            active[v] = True
+        hi, lo = n[:], n[:]
+        for v in [v for v in rev if not active[v]]:
+            p = parent[v]
+            if hi[v] > hi[p]:
+                hi[p] = hi[v]
+            if lo[v] < lo[p]:
+                lo[p] = lo[v]
+            cnt[p] += cnt[v]
     z = [0.0] * (q + 1)
     rate = [0.0] * (q + 1)
     cross = [0.0] * (q + 1)
@@ -333,8 +456,8 @@ def _sweep(tree, f, path=None, counters=None):
     zs = None
 
     while True:
-        if switch and (segments > switch and len(free_desc) > switch
-                       or steady and len(free_desc) > 2 * switch):
+        if switch and (segments > switch and nfree > switch
+                       or steady and nfree > 2 * switch):
             switch = 0
             done = _active_set(tree, n, fixed, counters)
             if done is None:
@@ -348,6 +471,8 @@ def _sweep(tree, f, path=None, counters=None):
         lp, lpp = _eliminate(free_desc, parent, children, fixed, n, t, z, rate,
                              s_arr, a_arr, counters)
         if path is not None:
+            if active is not None:
+                _spread(order, parent, active, z, rate)
             path.append(PathState(
                 t=t, boundary=frozenset(r for r in range(1, q + 1) if fixed[r]),
                 z=np.array([t - n[r] if fixed[r] else z[r] for r in range(1, q + 1)]),
@@ -361,52 +486,98 @@ def _sweep(tree, f, path=None, counters=None):
         # nodes that cross above the Newton target, where L' would reach -1
         # if no node joined; ``riding`` counts those that move parallel to
         # their line, as if joined.
-        watch = segments <= switch and len(free_desc) > 2 * switch
+        watch = segments <= switch and nfree > 2 * switch
         target = t - (1.0 + lp) / lpp if watch and lpp >= LSECOND_GUARD else t
-        best = neg_inf
+        best = second = neg_inf
         ahead = 0
         rode, riding = riding, 0
         for r in free_desc:
             c = rate[r]
             if c < crossing_rate:
-                pr = (n[r] + z[r] - t * c) / (1.0 - c)
+                pr = (hi[r] + z[r] - t * c) / (1.0 - c)
                 if pr < t:
-                    if pr > best:
-                        best = pr
                     if pr > target:
-                        ahead += 1
-                    cross[r] = pr
+                        k = cnt[r]
+                        if k > 1 and (lo[r] + z[r] - t * c) / (1.0 - c) <= target:
+                            k = _below(r, children, n, hi, lo, cnt, z[r], t, c,
+                                       target)[1]
+                        ahead += k
+                elif cnt[r] > 1:
+                    pr, k = _below(r, children, n, hi, lo, cnt, z[r], t, c, target)
+                    ahead += k
                 else:
                     cross[r] = neg_inf
+                    continue
+                cross[r] = pr
+                if pr > best:
+                    second = best
+                    best = pr
+                    lead = r
+                elif pr > second:
+                    second = pr
             else:
-                riding += 1
+                riding += cnt[r]
                 cross[r] = neg_inf
         if best == neg_inf or lp + (best - t) * lpp < -1.0:
             break
         # Steady: the forecast lost only nodes that joined or began to ride,
         # at most ``switch`` of the latter: a new boundary node that leaves
         # a whole subtree riding below it (N(0, 1) chains) is no sign.
-        steady = (watch and 2 * ahead >= len(free_desc)
+        steady = (watch and 2 * ahead >= nfree
                   and ahead >= due - min(riding - rode, switch))
+        # The free nodes whose crossing points lie within the tie tolerance
+        # of the best join; most often the best alone.
         thresh = best - tie_tolerance(best)
-        still_free = []
-        for r in free_desc:
-            if cross[r] >= thresh:
-                fixed[r] = True
+        if second < thresh:
+            if cnt[lead] == 1:
+                fixed[lead] = True
+                free_desc.remove(lead)
+                joined = 1
             else:
-                still_free.append(r)
+                i = free_desc.index(lead)
+                joined, free_desc[i:i + 1] = _split(
+                    lead, parent, children, n, hi, lo, cnt, fixed, active,
+                    z[lead], t, rate[lead], thresh)
+        else:
+            still_free = []
+            keep = still_free.append
+            joined = 0
+            for r in free_desc:
+                if cross[r] < thresh:
+                    keep(r)
+                elif cnt[r] == 1:
+                    fixed[r] = True
+                    joined += 1
+                else:
+                    k, stand = _split(r, parent, children, n, hi, lo, cnt, fixed,
+                                      active, z[r], t, rate[r], thresh)
+                    joined += k
+                    still_free += stand
+            free_desc = still_free
         if watch:
-            due = ahead - (len(free_desc) - len(still_free))
-        free_desc = still_free
+            due = ahead - joined
+        nfree -= joined
         t = best
 
     if zs is None:
         step = _newton_step(lp, lpp)
         t_star = t + step
+        if active is not None:
+            _spread(order, parent, active, z, rate)
         zs = [t - n[i] + step if fixed[i] else z[i] + step * rate[i]
               for i in range(q + 1)]
     m, fstar, cost2 = _recover(parent, zs, f)
     return t_star, zs, m, fstar, cost2, segments + passes
+
+
+def _spread(order, parent, active, z, rate):
+    """Give every free node that a top stands in for the top's value and
+    slope, parents first."""
+    for v in order:
+        if not active[v]:
+            p = parent[v]
+            z[v] = z[p]
+            rate[v] = rate[p]
 
 
 def _tie_tolerance_block(t):
@@ -535,9 +706,10 @@ def project(tree: RootedTree, fhat_col, keep_path=False,
     With ``keep_path=True`` the result carries one :class:`PathState` per
     sweep segment run, up to the handover when the active-set finish
     certifies.  A dict passed as ``counters`` accumulates, over every
-    elimination of the sweep and the finish, the free components, free
-    nodes visited, reductions, star solves and child edges scanned.  Neither
-    changes the result.
+    elimination of the sweep and the finish, the free components, nodes
+    visited, reductions, star solves and child edges scanned; a sweep
+    segment visits only the active free nodes (see :func:`_sweep`), a
+    finish pass every free node.  Neither changes the result.
     """
     f = _column(fhat_col, tree.q)
     path = [] if keep_path else None

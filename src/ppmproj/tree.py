@@ -158,9 +158,9 @@ def decode_prufer(code, q: int) -> RootedTree:
     if len(code) != q - 2:
         raise TreeInputError(f"code length {len(code)} != q-2 = {q - 2}")
     degree = [1] * (q + 1)
-    for c in code:
+    for j, c in enumerate(code):
         if not (1 <= c <= q):
-            raise TreeInputError(f"code entry {c} outside 1..{q}")
+            raise TreeInputError(f"code[{j}] = {c} is outside 1..{q}")
         degree[c] += 1
     up = [0] * (q + 1)
     ptr = 1

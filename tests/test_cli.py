@@ -272,6 +272,7 @@ class TestPruferCommand:
 
     def test_bad_code_exits_2(self, capsys):
         assert main(["prufer", "decode", "9 1", "--q", "4"]) == 2
+        assert "code[0] = 9 is outside 1..4" in capsys.readouterr().err
 
     def test_non_integer_token_is_named_with_its_position(self, capsys):
         assert main(["prufer", "decode", "1 x", "--q", "4"]) == 2

@@ -690,6 +690,8 @@ def _column(kind, tree, rng):
         return rng.standard_normal(tree.q)
     if kind == "tiny-normal":
         return 1e-8 * rng.standard_normal(tree.q)
+    if kind == "integer":
+        return np.round(2.0 * rng.standard_normal(tree.q))
     near = _near_feasible(tree, rng)
     if kind == "quantized":
         # Steps of 1/20 tie many ancestor sums exactly.
@@ -945,6 +947,91 @@ class TestActiveSetFinish:
         assert calls == [1]
         with pytest.raises(DegeneracyError):
             _plain(tree, f)
+
+
+def _full_elimination(tree, f, state):
+    """z and z_rate at ``state.t`` for ``state.boundary`` from
+    :func:`_eliminate` over every free node, with the ancestor sums summed
+    as the sweep sums them; and the root's pair."""
+    q, parent = tree.q, tree.parent
+    n = [0.0] * (q + 1)
+    for v in tree.bfs_order():
+        n[v] = f[v - 1] + n[parent[v]]
+    fixed = [False] + [r in state.boundary for r in range(1, q + 1)]
+    free_desc = [v for v in reversed(tree.bfs_order()) if not fixed[v]]
+    z, rate = [0.0] * (q + 1), [0.0] * (q + 1)
+    pair = _eliminate(free_desc, parent, tree.children, fixed, n, state.t, z,
+                      rate, [0.0] * (q + 1), [0.0] * (q + 1))
+    z_full = np.array([state.t - n[r] if fixed[r] else z[r] for r in range(1, q + 1)])
+    rate_full = np.array([1.0 if fixed[r] else rate[r] for r in range(1, q + 1)])
+    return z_full, rate_full, pair
+
+
+class TestStandIns:
+    """A sweep segment visits only the active free nodes: those above a
+    boundary node and the top of each free subtree without one, which
+    stands in for its subtree.  Every path record must still equal the
+    elimination over all free nodes, bit for bit, and the run must be the
+    one in which every free node stands for itself."""
+
+    @staticmethod
+    def _check(tree, f):
+        # Stand-ins on at every size, against every free node its own.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projection, "_STAND_IN_Q", 0)
+            res = project(tree, f, keep_path=True)
+            mp.setattr(projection, "_STAND_IN_Q", tree.q + 1)
+            own = project(tree, f, keep_path=True)
+        assert (res.t_star, res.cost, res.iterations) == \
+            (own.t_star, own.cost, own.iterations)
+        assert np.array_equal(res.z_star, own.z_star)
+        assert np.array_equal(res.m_star, own.m_star)
+        assert [(s.t, s.boundary) for s in res.path] == \
+            [(s.t, s.boundary) for s in own.path]
+        for state in res.path:
+            z_full, rate_full, pair = _full_elimination(tree, f, state)
+            assert np.array_equal(state.z, z_full)
+            assert np.array_equal(state.z_rate, rate_full)
+            assert (state.lprime, state.lsecond) == pair
+        if res.iterations == len(res.path):
+            # No handover: z* is the last record moved by the Newton step.
+            last = res.path[-1]
+            step = -(1.0 + last.lprime) / last.lsecond
+            assert np.array_equal(res.z_star, last.z + step * last.z_rate)
+
+    @pytest.mark.parametrize("kind", ["normal", "near", "quantized", "integer"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_path_records_match_the_full_elimination(self, shape, kind):
+        rng = np.random.default_rng([25, SHAPES.index(shape), len(kind)])
+        for q in (300, 2000):
+            tree = _tree(shape, q, rng)
+            self._check(tree, _column(kind, tree, rng))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e6])
+    def test_path_records_match_at_extreme_scales(self, scale):
+        rng = np.random.default_rng([25, int(scale > 1)])
+        for _ in range(150):
+            q = int(rng.integers(1, 41))
+            tree = random_labeled_tree(q, rng)
+            if rng.random() < 0.5:
+                f = scale * rng.standard_normal(q)
+            else:
+                f = scale * _near_feasible(tree, rng)
+            self._check(tree, f)
+
+    @pytest.mark.parametrize("shape", ["galton-watson", "prufer"])
+    def test_segments_skip_free_subtrees(self, shape):
+        # On N(0, 1) columns most free nodes sit in subtrees without a
+        # boundary node, so the segments visit a small share of them.
+        q = 2000
+        rng = np.random.default_rng([q, 25, SHAPES.index(shape)])
+        for _ in range(4):
+            tree = _tree(shape, q, rng)
+            counters = {}
+            res = project(tree, rng.standard_normal(q), keep_path=True,
+                          counters=counters)
+            free = sum(q - len(state.boundary) for state in res.path)
+            assert counters["nodes_visited"] <= free / 4
 
 
 def test_mass_sums_to_one_at_small_scale():

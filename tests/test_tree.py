@@ -235,6 +235,12 @@ class TestPrufer:
         with pytest.raises(TreeInputError):
             decode_prufer((5, 1), 4)
 
+    def test_decode_names_the_position_of_a_label_out_of_range(self):
+        with pytest.raises(TreeInputError, match=r"^code\[1\] = 9 is outside 1\.\.4$"):
+            decode_prufer((1, 9), 4)
+        with pytest.raises(TreeInputError, match=r"^code\[2\] = 0 is outside 1\.\.5$"):
+            decode_prufer((2, 3, 0), 5)
+
     def test_decode_rejects_fractional_labels(self):
         with pytest.raises(TreeInputError, match=r"code\[0\]"):
             decode_prufer([1.7], 3)

@@ -6,19 +6,29 @@ The columns are the benchmark's (``perfbench/inputs.py``): round r of a
 r)``, one fresh tree and a q-by-1 column, N(0, 1) or near-feasible
 (``U @ M`` plus small noise).  Each record holds the command, the commit of
 the imported source tree (``git describe``, null outside a git checkout),
-the unscaled wall time of every column in ms, and per column the sweep's
-segments and the active-set finish's passes, split by a spy on
-``projection._active_set`` (passes are null for a source tree without the
-finish, whose iterations are all segments; a finish that did not certify
-counts its q + 1 passes).  ``worst_certificate`` is the largest KKT
-residual of the columns as a share of the benchmark's tolerance
-(``perfbench/verify.py``), so values below 1 pass.  Run it against the
-source tree to be timed:
+the unscaled wall time of every column in ms, and per column:
+
+* ``segments`` and ``finish_passes``, the sweep's segments and the
+  active-set finish's passes, split by a spy on ``projection._active_set``
+  (passes are null for a source tree without the finish, whose iterations
+  are all segments; a finish that did not certify counts its q + 1
+  passes);
+* ``nodes_visited``, the nodes that all eliminations of the column visited,
+  from ``project(..., counters=)`` in a second, untimed call, so that a
+  record shows where a change to the sweep's work lands (null for a source
+  tree whose ``project`` takes no counters);
+* ``costs``, the projection cost as ``float.hex``, so that records of two
+  source trees can be compared bit for bit.
+
+``worst_certificate`` is the largest KKT residual of the columns as a share
+of the benchmark's tolerance (``perfbench/verify.py``), so values below 1
+pass.  Run it against the source tree to be timed:
 
     PYTHONPATH=src python tools/bench_project.py --regime nearfeasible --q 300,3000
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -53,9 +63,19 @@ def finish_spy():
     return seen
 
 
+def nodes_visited(tree, col):
+    """Nodes visited by every elimination of one ``project`` call, or None
+    when ``project`` takes no counters."""
+    if "counters" not in inspect.signature(ppmproj.project).parameters:
+        return None
+    counters = {}
+    ppmproj.project(tree, col, counters=counters)
+    return counters.get("nodes_visited", 0)
+
+
 def cell(regime, shape, q, columns, seed, seen):
     """Time ``columns`` columns of one (regime, shape, q) cell."""
-    wall, segments, passes, worst = [], [], [], 0.0
+    wall, segments, passes, visited, costs, worst = [], [], [], [], [], 0.0
     for rnd in range(columns):
         ((_, parents, fhat),) = inputs.projection_round(regime, [shape], q, 1, seed, rnd)
         tree = ppmproj.RootedTree.from_parent_array(parents)
@@ -68,6 +88,8 @@ def cell(regime, shape, q, columns, seed, seen):
         finish = sum(seen) if seen is not None else None
         passes.append(finish)
         segments.append(res.iterations - (finish or 0))
+        visited.append(nodes_visited(tree, col))
+        costs.append(float(res.cost).hex())
         _, share = verify.certify(verify.TreeView(parents), col, res.m_star,
                                   res.f_star, res.cost)
         worst = max(worst, share)
@@ -77,6 +99,8 @@ def cell(regime, shape, q, columns, seed, seen):
         "wall_ms_max": max(wall),
         "segments": segments,
         "finish_passes": passes,
+        "nodes_visited": visited,
+        "costs": costs,
         "worst_certificate": worst,
     }
 
