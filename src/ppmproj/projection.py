@@ -526,7 +526,10 @@ def _sweep(tree, f, path=None, counters=None):
         steady = (watch and 2 * ahead >= nfree
                   and ahead >= due - min(riding - rode, switch))
         # The free nodes whose crossing points lie within the tie tolerance
-        # of the best join; most often the best alone.
+        # of the best join; most often the best alone, which then joins
+        # without a pass over the free nodes.  Taking that pass on every join
+        # cost 2-8% per call at q = 7-11 and up to 6% per N(0, 1) column at
+        # q = 2000 (2-core Xeon VM, Python 3.11, interleaved).
         thresh = best - tie_tolerance(best)
         if second < thresh:
             if cnt[lead] == 1:

@@ -15,8 +15,7 @@ the unscaled wall time of every column in ms, and per column:
   passes);
 * ``nodes_visited``, the nodes that all eliminations of the column visited,
   from ``project(..., counters=)`` in a second, untimed call, so that a
-  record shows where a change to the sweep's work lands (null for a source
-  tree whose ``project`` takes no counters);
+  record shows where a change to the sweep's work lands;
 * ``costs``, the projection cost as ``float.hex``, so that records of two
   source trees can be compared bit for bit.
 
@@ -28,7 +27,6 @@ pass.  Run it against the source tree to be timed:
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -64,10 +62,7 @@ def finish_spy():
 
 
 def nodes_visited(tree, col):
-    """Nodes visited by every elimination of one ``project`` call, or None
-    when ``project`` takes no counters."""
-    if "counters" not in inspect.signature(ppmproj.project).parameters:
-        return None
+    """Nodes visited by every elimination of one ``project`` call."""
     counters = {}
     ppmproj.project(tree, col, counters=counters)
     return counters.get("nodes_visited", 0)
