@@ -182,11 +182,11 @@ def _cmd_prufer(args):
     else:
         text = args.code.strip()
         code = []
-        for pos, tok in enumerate([] if text in ("", "-") else text.split(), start=1):
+        for j, tok in enumerate([] if text in ("", "-") else text.split()):
             try:
                 code.append(int(tok))
             except ValueError:
-                raise ValueError(f"code entry {pos} is {tok!r}, not an integer") from None
+                raise ValueError(f"code[{j}] = {tok!r} is not an integer") from None
         tree = decode_prufer(code, args.q)
         print(tree.to_text())
     return EXIT_OK

@@ -13,11 +13,15 @@ drop below -1 on a segment, solves L'(t) = -1 there and converts the dual
 minimizer into mutant fractions and frequencies, which sum to -z[1] = 1.
 
 :func:`_sweep`, the library's only exact sweep, serves :func:`project` and
-the exhaustive search on plain 1-indexed lists.  A segment visits only the
-active free nodes: those above a boundary node, and the top of each free
-subtree that holds none.  Every node of such a subtree moves with its top,
-so the top stands in for it, and a segment costs O(q) at most; on N(0, 1)
-columns it visits a few percent of the free nodes of a branching tree.
+the exhaustive search on plain 1-indexed lists.  On large trees a segment
+visits only the free nodes that can still join: those above a boundary
+node, and the top of each free subtree that holds none.  Every node of such
+a subtree moves with its top, so the top stands in for it.  Free nodes below
+a boundary node ride it at slope exactly 1 and leave the segments; sibling
+leaves of one free parent share its value and slope and are searched as one
+group sorted by n.  A segment costs O(q) at most; on N(0, 1) columns it
+visits a few percent of the free nodes of a branching tree, and a handful on
+a star.  The column is then recovered in numpy.
 Nearly consistent columns take about 0.9 q segments, so the sweep hands its
 boundary set to :func:`_active_set`: eliminations that each solve a
 boundary set and correct it, until one certifies its answer by the KKT
@@ -38,6 +42,7 @@ still comes from :func:`_sweep`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
@@ -134,6 +139,29 @@ def _recover(parent, z, fhat):
         d = fhat[i] - fi
         cost2 += d * d
     return m, f, cost2
+
+
+def _recover_arrays(tree, z, fhat):
+    """:func:`_recover` in numpy, for the sweep's large trees: ``(z, m, f,
+    cost2)``, the vectors as 1-indexed arrays with the same bits.
+
+    It runs over index arrays cached on the tree.  ``np.bincount`` adds
+    each node's f and its children's -f in label order, as the loop does,
+    and ``np.cumsum`` adds the squares in order, as ``+=`` does (``np.sum``
+    pairs them).  On small trees numpy's per-call cost exceeds the loop's
+    (see the break-even in :func:`_sweep`).
+    """
+    q = tree.q
+    up, pairs = tree._index_arrays()
+    z = np.array(z)
+    f = z[up] - z
+    w = np.empty(2 * q)
+    w[0::2] = f[1:]
+    np.negative(f[1:], out=w[1::2])
+    m = np.bincount(pairs, weights=w, minlength=q + 1)
+    m[0] = 0.0
+    d = np.array(fhat[1:]) - f[1:]
+    return z, m, f, float(np.cumsum(d * d)[-1])
 
 
 def _newton_step(lp, lpp):
@@ -356,6 +384,33 @@ def _split(top, parent, children, n, hi, lo, cnt, fixed, active, zt, t, c,
     return len(joined), [v for v in reversed(pre) if not fixed[v]]
 
 
+def _group_key(zt, t, c):
+    """The crossing point at t, as a function of its ancestor sum x, of a
+    leaf that has its parent's value ``zt`` and slope ``c``: the sweep's
+    own expression, which does not fall as x grows."""
+    tc, dc = t * c, 1.0 - c
+
+    def key(x):
+        return (x + zt - tc) / dc
+
+    return key
+
+
+def _group_scan(ns, key, t, target):
+    """``(i, best, second, ahead)`` over a group of sibling leaves, ``ns``
+    their n ascending: ``i`` is the first leaf whose crossing point ``key``
+    lies at or above t, ``best`` and ``second`` are the points of the two
+    leaves before it, and ``ahead`` counts the points in (target, t)."""
+    i = len(ns)
+    best = key(ns[-1])
+    if best >= t:
+        i = bisect_left(ns, t, 0, i - 1, key=key)
+        best = key(ns[i - 1]) if i else _NEG_INF
+    second = key(ns[i - 2]) if i > 1 else _NEG_INF
+    ahead = i - bisect_right(ns, target, 0, i, key=key) if target < t else 0
+    return i, best, second, ahead
+
+
 def _sweep(tree, f, path=None, counters=None):
     """Project one column onto ``tree``.
 
@@ -364,27 +419,49 @@ def _sweep(tree, f, path=None, counters=None):
     (none for the passes of :func:`_active_set`); tallies the counts of
     every elimination pass into ``counters`` when it is a dict.
 
-    Returns ``(t_star, z, m, f_star, cost2, iterations)``, the vectors as
-    1-indexed lists, ``cost2`` the squared Euclidean cost and
-    ``iterations`` the segments plus the passes of :func:`_active_set`.
-    Each segment solves its boundary set afresh with :func:`_eliminate` at
-    its start t, so ``lprime`` is z[1](t) and ``lsecond`` the root's slope,
-    equal to the sum of squared slope differences.  A boundary node's value
-    ``t - n[r]`` is written out only in path records and at finalization,
-    where :func:`_newton_step` takes the last segment to L' = -1 and
-    :func:`_recover` turns z into m, f and the cost.
+    Returns ``(t_star, z, m, f_star, cost2, iterations)``, the vectors
+    1-indexed (lists below ``_STAND_IN_Q`` nodes, arrays from there on),
+    ``cost2`` the squared Euclidean cost and ``iterations`` the segments
+    plus the passes of :func:`_active_set`.  Each segment solves its
+    boundary set afresh with :func:`_eliminate` at its start t, so
+    ``lprime`` is z[1](t) and ``lsecond`` the root's slope, equal to the sum
+    of squared slope differences.  A boundary node's value ``t - n[r]`` is
+    written out only in path records and at finalization, where
+    :func:`_newton_step` takes the last segment to L' = -1 and
+    :func:`_recover` (:func:`_recover_arrays` from ``_STAND_IN_Q`` nodes
+    up) turns z into m, f and the cost.
 
-    Segments visit only the active free nodes: those with a boundary node
-    below them, and the top of each free subtree that holds none.  Every
-    node of such a subtree has its top's value and slope, since each step
-    of the elimination there computes ``(x + 0.0) / 1.0``, so the top stands
-    in for the subtree: its crossing point is the subtree's best, that of
-    its largest ancestor sum n.  The subtree is entered only when that
-    point joins (:func:`_split`), when it rounds to t or above, or when the
+    From ``_STAND_IN_Q`` nodes up, segments visit only the active free
+    nodes that can still join.  Every node of a free subtree without
+    boundary nodes has its top's value and slope, since each step of the
+    elimination there computes ``(x + 0.0) / 1.0``, so the top stands in
+    for the subtree: its crossing point is the subtree's best, that of its
+    largest ancestor sum n.  The subtree is entered only when that point
+    joins (:func:`_split`), when it rounds to t or above, or when the
     forecast needs its count and its range of n does not settle it
-    (:func:`_below`); its values are written out with the top's in path
-    records and at finalization.  Below ``_STAND_IN_Q`` nodes every free
-    node stands for itself.
+    (:func:`_below`).  Two kinds of free node leave the segments:
+
+    * riders, the free nodes below a boundary node.  Their slope is exactly
+      1.0 (the harmonic slope of a component bounded by slope-1 nodes, each
+      sum equal bit for bit), so they never cross.  Those below the best
+      join leave as it joins (:func:`_ride_below`); the others leave the
+      first time the scan sees them at 1.0 with a boundary node or a rider
+      above them.  Their count stays in the forecast's ``riding``.  A node
+      deep below boundary leaves can reach 1.0 by rounding with no boundary
+      node above it; it may still cross, and it stays.
+    * sibling leaves: two or more free leaf tops of one free parent form a
+      group, sorted by n.  Each has its parent's value and slope, so its
+      crossing point is monotone in n, and bisection (:func:`_group_scan`)
+      gives the group's two best points and its forecast count.  Leaves
+      within the tie tolerance of the best join rejoin the free nodes and
+      join as any free node does.  When the parent joins, its leaves ride
+      (:func:`_ride_groups`); when it rides, they ride with it.
+
+    Riders hang below boundary nodes only, so one elimination over them,
+    children first, at the last segment's t gives their values; path
+    records run it for each record.  The nodes a top or a group parent
+    stands for take its value and slope (:func:`_spread`) in path records,
+    and its final value at finalization.
 
     In its first ceil(log2 q) segments, while more than 2 ceil(log2 q)
     nodes are free, the crossing scan also forecasts: it counts the free
@@ -409,7 +486,16 @@ def _sweep(tree, f, path=None, counters=None):
     # A stand-in's largest and smallest n and its subtree's size; n, n and 1
     # for a node that stands for itself.
     cnt = [1] * (q + 1)
-    if q < _STAND_IN_Q:
+    # From ``_STAND_IN_Q`` nodes up, the segments drop what cannot join and
+    # the column recovers in numpy.  With ``project``'s conversions, the
+    # numpy recovery breaks even with the list loop near q = 64 on a tree's
+    # first column, which builds its index arrays, and near q = 32 once they
+    # are cached (2.3x the loop's time at q = 7, 0.7x at 64; 2-core Xeon VM,
+    # Python 3.11).
+    drop = q >= _STAND_IN_Q
+    # The riders dropped so far, with the nodes they stand for.
+    riders = 0
+    if not drop:
         hi = lo = n
         active = None
         free_desc = [v for v in reversed(order) if not fixed[v]]
@@ -418,24 +504,52 @@ def _sweep(tree, f, path=None, counters=None):
         rev = order[::-1]
         nfree = fixed.count(False) - 1
         # Active: the boundary nodes, the free nodes above them (index 0
-        # anchors the root) and the free nodes hanging off either.
+        # anchors the root) and the free nodes hanging off either, except
+        # grouped leaves.
         active = [False] * (q + 1)
         active[0] = True
         for v in compress(range(q + 1), fixed):
             while not active[v]:
                 active[v] = True
                 v = parent[v]
-        free_desc = [v for v in rev if not fixed[v] and active[parent[v]]]
-        for v in free_desc:
-            active[v] = True
+        # One pass, children first: the active free nodes in order, and each
+        # inactive node's range of n and size pushed into its parent.
         hi, lo = n[:], n[:]
-        for v in [v for v in rev if not active[v]]:
-            p = parent[v]
-            if hi[v] > hi[p]:
-                hi[p] = hi[v]
-            if lo[v] < lo[p]:
-                lo[p] = lo[v]
-            cnt[p] += cnt[v]
+        free_desc = []
+        push = free_desc.append
+        for v in rev:
+            if active[v]:
+                if not fixed[v]:
+                    push(v)
+            else:
+                p = parent[v]
+                if active[p]:
+                    push(v)
+                    continue
+                if hi[v] > hi[p]:
+                    hi[p] = hi[v]
+                if lo[v] < lo[p]:
+                    lo[p] = lo[v]
+                cnt[p] += cnt[v]
+        leaves = {}
+        for v in free_desc:
+            if not active[v]:
+                active[v] = True
+                if not children[v] and not fixed[parent[v]]:
+                    leaves.setdefault(parent[v], []).append(v)
+        # Each free parent's leaf tops, n ascending, and their n.
+        groups = {}
+        for p, vs in leaves.items():
+            if len(vs) > 1:
+                vs.sort(key=n.__getitem__)
+                groups[p] = (vs, [n[v] for v in vs])
+                for v in vs:
+                    active[v] = False
+        if groups:
+            free_desc = [v for v in free_desc if active[v]]
+        # The riders dropped so far, parents first.
+        rides = [False] * (q + 1)
+        rider_list = []
     z = [0.0] * (q + 1)
     rate = [0.0] * (q + 1)
     cross = [0.0] * (q + 1)
@@ -471,7 +585,10 @@ def _sweep(tree, f, path=None, counters=None):
         lp, lpp = _eliminate(free_desc, parent, children, fixed, n, t, z, rate,
                              s_arr, a_arr, counters)
         if path is not None:
-            if active is not None:
+            if drop:
+                if rider_list:
+                    _eliminate(rider_list[::-1], parent, children, fixed, n, t, z,
+                               rate, s_arr, a_arr)
                 _spread(order, parent, active, z, rate)
             path.append(PathState(
                 t=t, boundary=frozenset(r for r in range(1, q + 1) if fixed[r]),
@@ -490,7 +607,7 @@ def _sweep(tree, f, path=None, counters=None):
         target = t - (1.0 + lp) / lpp if watch and lpp >= LSECOND_GUARD else t
         best = second = neg_inf
         ahead = 0
-        rode, riding = riding, 0
+        rode, riding = riding, riders
         for r in free_desc:
             c = rate[r]
             if c < crossing_rate:
@@ -518,6 +635,54 @@ def _sweep(tree, f, path=None, counters=None):
             else:
                 riding += cnt[r]
                 cross[r] = neg_inf
+        if drop:
+            if riding > riders:
+                # Parents first, so that a rider's free parent is marked.
+                before = len(rider_list)
+                for r in [r for r in free_desc if rate[r] == 1.0][::-1]:
+                    p = parent[r]
+                    if fixed[p] or rides[p]:
+                        rides[r] = True
+                        riders += cnt[r]
+                        rider_list.append(r)
+                if len(rider_list) > before:
+                    free_desc = [r for r in free_desc if not rides[r]]
+            near = []
+            for p, (vs, ns) in list(groups.items()):
+                c = rate[p]
+                if c < crossing_rate:
+                    key = _group_key(z[p], t, c)
+                    i, pr, pr2, k = _group_scan(ns, key, t, target)
+                    ahead += k
+                    if pr > best:
+                        second = best if best > pr2 else pr2
+                        best = pr
+                        lead = vs[i - 1]
+                    elif pr > second:
+                        second = pr
+                    if i:
+                        near.append((pr, p, key, i))
+                else:
+                    riding += len(vs)
+                    if rides[p]:
+                        riders += len(vs)
+                        del groups[p]
+            if near and best > neg_inf:
+                # Leaves whose crossing points lie within the tie tolerance
+                # of the best leave their groups as free nodes, and join
+                # below as any other free node would.
+                thresh = best - tie_tolerance(best)
+                for pr, p, key, i in near:
+                    if pr >= thresh:
+                        vs, ns = groups[p]
+                        j = bisect_left(ns, thresh, 0, i, key=key)
+                        for v in vs[j:i]:
+                            active[v] = True
+                            z[v], rate[v], cross[v] = z[p], rate[p], key(n[v])
+                        free_desc[:0] = vs[j:i]
+                        del vs[j:i], ns[j:i]
+                        if not vs:
+                            del groups[p]
         if best == neg_inf or lp + (best - t) * lpp < -1.0:
             break
         # Steady: the forecast lost only nodes that joined or began to ride,
@@ -557,6 +722,20 @@ def _sweep(tree, f, path=None, counters=None):
                     joined += k
                     still_free += stand
             free_desc = still_free
+        if drop:
+            # The free nodes below the best join ride from now on, and so do
+            # the leaves of each group whose parent joined.  Riders below the
+            # other joins of a tie leave at the next scan.  Leaving all of
+            # them to the scan costs each one more segment's visit: N(0, 1)
+            # chain columns at q = 300 and 2000 then ran 1.14-1.15x slower
+            # (2-core Xeon VM, interleaved); other columns were even.
+            if fixed[lead]:
+                k = _ride_below(lead, children, fixed, active, cnt, rides, groups,
+                                rider_list)
+                if k:
+                    riders += k
+                    free_desc = [r for r in free_desc if not rides[r]]
+            riders += _ride_groups(groups, fixed, active, rider_list)
         if watch:
             due = ahead - joined
         nfree -= joined
@@ -565,17 +744,65 @@ def _sweep(tree, f, path=None, counters=None):
     if zs is None:
         step = _newton_step(lp, lpp)
         t_star = t + step
-        if active is not None:
-            _spread(order, parent, active, z, rate)
-        zs = [t - n[i] + step if fixed[i] else z[i] + step * rate[i]
-              for i in range(q + 1)]
-    m, fstar, cost2 = _recover(parent, zs, f)
+        if drop:
+            if rider_list:
+                _eliminate(rider_list[::-1], parent, children, fixed, n, t, z, rate,
+                           s_arr, a_arr, counters)
+            # A node that a top or a group parent stands for takes its value,
+            # parents first, as :func:`_spread` would give it.
+            zs = [0.0] * (q + 1)
+            for i in order:
+                if fixed[i]:
+                    zs[i] = t - n[i] + step
+                elif active[i]:
+                    zs[i] = z[i] + step * rate[i]
+                else:
+                    zs[i] = zs[parent[i]]
+        else:
+            zs = [t - n[i] + step if fixed[i] else z[i] + step * rate[i]
+                  for i in range(q + 1)]
+    if drop:
+        zs, m, fstar, cost2 = _recover_arrays(tree, zs, f)
+    else:
+        m, fstar, cost2 = _recover(parent, zs, f)
     return t_star, zs, m, fstar, cost2, segments + passes
 
 
+def _ride_below(b, children, fixed, active, cnt, rides, groups, riders):
+    """Mark the active free nodes below the new boundary node ``b``, down to
+    the next boundary nodes, as riders, appending them parents first to
+    ``riders``; a group of leaves under one of them rides with it.  Returns
+    how many nodes ride, with the nodes they stand for."""
+    count = 0
+    stack = [b]
+    while stack:
+        for c in children[stack.pop()]:
+            if active[c] and not fixed[c]:
+                rides[c] = True
+                riders.append(c)
+                count += cnt[c]
+                stack.append(c)
+                if c in groups:
+                    count += len(groups.pop(c)[0])
+    return count
+
+
+def _ride_groups(groups, fixed, active, riders):
+    """Move the leaves of each group whose parent has joined to the list of
+    riders, and drop the group; returns how many leaves moved."""
+    moved = 0
+    for p in [p for p in groups if fixed[p]]:
+        vs = groups.pop(p)[0]
+        for v in vs:
+            active[v] = True
+        riders.extend(vs)
+        moved += len(vs)
+    return moved
+
+
 def _spread(order, parent, active, z, rate):
-    """Give every free node that a top stands in for the top's value and
-    slope, parents first."""
+    """Give every free node that a top or a group parent stands for its
+    value and slope, parents first."""
     for v in order:
         if not active[v]:
             p = parent[v]
@@ -711,18 +938,20 @@ def project(tree: RootedTree, fhat_col, keep_path=False,
     certifies.  A dict passed as ``counters`` accumulates, over every
     elimination of the sweep and the finish, the free components, nodes
     visited, reductions, star solves and child edges scanned; a sweep
-    segment visits only the active free nodes (see :func:`_sweep`), a
-    finish pass every free node.  Neither changes the result.
+    segment visits only the free nodes that can still join (see
+    :func:`_sweep`), the pass that writes out the riders at the end visits
+    each of them once, and a finish pass visits every free node.  Neither
+    changes the result.
     """
     f = _column(fhat_col, tree.q)
     path = [] if keep_path else None
     t_star, z, m, fv, cost2, iterations = _sweep(
         tree, [0.0] + f.tolist(), path=path, counters=counters)
-    f_star = np.array(fv[1:])
+    f_star = np.asarray(fv[1:])
     # Past |F̂| ~ 1e154 the squares overflow; hypot scales them instead.
     cost = math.sqrt(cost2) if math.isfinite(cost2) else math.hypot(*(f - f_star))
     return ProjectionResult(
-        t_star=t_star, z_star=np.array(z[1:]), m_star=np.array(m[1:]),
+        t_star=t_star, z_star=np.asarray(z[1:]), m_star=np.asarray(m[1:]),
         f_star=f_star, cost=cost, iterations=iterations,
         rate_recomputations=iterations, path=path,
     )

@@ -40,6 +40,7 @@ class RootedTree:
     parent: tuple
     children: tuple
     _order: tuple = field(default=None, repr=False, compare=False)
+    _arrays: tuple = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_parent_array(parents) -> "RootedTree":
@@ -87,6 +88,19 @@ class RootedTree:
         order = tuple(order)
         object.__setattr__(self, "_order", order)
         return order
+
+    def _index_arrays(self) -> tuple:
+        """``(up, pairs)``, cached like :meth:`bfs_order`: the parent array
+        as indices, and every node's label followed by its parent's, in
+        label order (length 2q)."""
+        if self._arrays is not None:
+            return self._arrays
+        up = np.array(self.parent, dtype=np.intp)
+        pairs = np.empty(2 * self.q, dtype=np.intp)
+        pairs[0::2] = np.arange(1, self.q + 1)
+        pairs[1::2] = up[1:]
+        object.__setattr__(self, "_arrays", (up, pairs))
+        return self._arrays
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff node ``a`` is an ancestor of ``b`` or ``a == b``."""

@@ -275,8 +275,11 @@ class TestPruferCommand:
         assert "code[0] = 9 is outside 1..4" in capsys.readouterr().err
 
     def test_non_integer_token_is_named_with_its_position(self, capsys):
-        assert main(["prufer", "decode", "1 x", "--q", "4"]) == 2
-        assert "entry 2 is 'x'" in capsys.readouterr().err
+        # Positions count from 0, as in the range message above and in
+        # ``tree.decode_prufer``.
+        for token in ("x", "2.5"):
+            assert main(["prufer", "decode", f"1 {token}", "--q", "4"]) == 2
+            assert f"code[1] = '{token}' is not an integer" in capsys.readouterr().err
 
 
 class TestUnreadableFiles:

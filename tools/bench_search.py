@@ -31,11 +31,12 @@ import ppmproj  # noqa: E402
 from search_hash import report_lines  # noqa: E402
 
 
-def source_commit():
-    """``git describe`` of the checkout ppmproj was imported from, or None."""
+def source_commit(package=ppmproj):
+    """``git describe`` of the checkout ``package`` was imported from, or
+    None."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=os.path.dirname(os.path.abspath(ppmproj.__file__)),
+                             cwd=os.path.dirname(os.path.abspath(package.__file__)),
                              capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
