@@ -17,11 +17,12 @@ the exhaustive search on plain 1-indexed lists.  On large trees a segment
 visits only the free nodes that can still join: those above a boundary
 node, and the top of each free subtree that holds none.  Every node of such
 a subtree moves with its top, so the top stands in for it.  Free nodes below
-a boundary node ride it at slope exactly 1 and leave the segments; sibling
-leaves of one free parent share its value and slope and are searched as one
-group sorted by n.  A segment costs O(q) at most; on N(0, 1) columns it
-visits a few percent of the free nodes of a branching tree, and a handful on
-a star.  The column is then recovered in numpy.
+a boundary node ride it at slope exactly 1 and never cross, so they leave
+the segments as that node joins (the tree reduction of arXiv 1811.01129);
+sibling leaves of one free parent share its value and slope and are
+searched as one group sorted by n.  A segment costs O(q) at most; on N(0, 1)
+columns it visits a few percent of the free nodes of a branching tree, and a
+handful on a star.  The column is then recovered in numpy.
 Nearly consistent columns take about 0.9 q segments, so the sweep hands its
 boundary set to :func:`_active_set`: eliminations that each solve a
 boundary set and correct it, until one certifies its answer by the KKT
@@ -345,23 +346,23 @@ def _below(top, children, n, hi, lo, cnt, zt, t, c, target):
 
 
 def _split(top, parent, children, n, hi, lo, cnt, fixed, active, zt, t, c,
-           thresh):
+           thresh, joins):
     """Fix the nodes of the stand-in ``top``'s subtree whose crossing point
-    lies in [thresh, t).  Returns how many, and the free nodes that now
-    stand for the subtree, children first: those above a new boundary node,
-    which stand for themselves, and the tops of the free subtrees left
-    hanging off them."""
+    lies in [thresh, t), appending them to ``joins``.  Returns the free nodes
+    that now stand for the subtree, children first: those above a new
+    boundary node, which stand for themselves, and the tops of the free
+    subtrees left hanging off them, riders among them."""
     tc, dc = t * c, 1.0 - c
-    joined = []
+    start = len(joins)
     stack = [top]
     while stack:
         v = stack.pop()
         if thresh <= (n[v] + zt - tc) / dc < t:
-            joined.append(v)
+            joins.append(v)
         for w in children[v]:
             if (hi[w] + zt - tc) / dc >= thresh:
                 stack.append(w)
-    for v in joined:
+    for v in joins[start:]:
         fixed[v] = True
         while not active[v]:
             active[v] = True
@@ -381,7 +382,7 @@ def _split(top, parent, children, n, hi, lo, cnt, fixed, active, zt, t, c,
             else:
                 active[w] = True
                 pre.append(w)
-    return len(joined), [v for v in reversed(pre) if not fixed[v]]
+    return [v for v in reversed(pre) if not fixed[v]]
 
 
 def _group_key(zt, t, c):
@@ -443,25 +444,26 @@ def _sweep(tree, f, path=None, counters=None):
 
     * riders, the free nodes below a boundary node.  Their slope is exactly
       1.0 (the harmonic slope of a component bounded by slope-1 nodes, each
-      sum equal bit for bit), so they never cross.  Those below the best
-      join leave as it joins (:func:`_ride_below`); the others leave the
-      first time the scan sees them at 1.0 with a boundary node or a rider
-      above them.  Their count stays in the forecast's ``riding``.  A node
-      deep below boundary leaves can reach 1.0 by rounding with no boundary
-      node above it; it may still cross, and it stays.
+      sum equal bit for bit), so they never cross.  Each node that becomes
+      a boundary node, in the initial set, as the best join, in a tie or
+      inside a stand-in (:func:`_split`), hands what hangs below it to the
+      riders before the next segment (:func:`_ride`).  Their count stays
+      in the forecast's ``riding``.  Riders are found by structure, not by
+      slope: a node deep below boundary leaves can reach 1.0 by rounding
+      with no boundary node above it, and it may still cross.
     * sibling leaves: two or more free leaf tops of one free parent form a
       group, sorted by n.  Each has its parent's value and slope, so its
       crossing point is monotone in n, and bisection (:func:`_group_scan`)
       gives the group's two best points and its forecast count.  Leaves
       within the tie tolerance of the best join rejoin the free nodes and
-      join as any free node does.  When the parent joins, its leaves ride
-      (:func:`_ride_groups`); when it rides, they ride with it.
+      join as any free node does.  When the parent joins or rides, its
+      leaves ride with it.
 
     Riders hang below boundary nodes only, so one elimination over them,
     children first, at the last segment's t gives their values; path
-    records run it for each record.  The nodes a top or a group parent
-    stands for take its value and slope (:func:`_spread`) in path records,
-    and its final value at finalization.
+    records run it for each record.  The nodes a top, a group parent or a
+    boundary node stands for take its value and slope (:func:`_spread`) in
+    path records, and its final value at finalization.
 
     In its first ceil(log2 q) segments, while more than 2 ceil(log2 q)
     nodes are free, the crossing scan also forecasts: it counts the free
@@ -508,7 +510,8 @@ def _sweep(tree, f, path=None, counters=None):
         # grouped leaves.
         active = [False] * (q + 1)
         active[0] = True
-        for v in compress(range(q + 1), fixed):
+        joins = list(compress(range(q + 1), fixed))
+        for v in joins:
             while not active[v]:
                 active[v] = True
                 v = parent[v]
@@ -579,6 +582,15 @@ def _sweep(tree, f, path=None, counters=None):
             else:
                 t_star, zs, passes = done
                 break
+        if drop:
+            # What hangs below the last segment's joins, or below the initial
+            # boundary set, can never cross, so it leaves the segments now.
+            before = len(rider_list)
+            for b in joins:
+                riders += _ride(b, children, fixed, active, cnt, rides, groups,
+                                rider_list)
+            if len(rider_list) > before:
+                free_desc = [r for r in free_desc if not rides[r]]
         segments += 1
         if segments > q + 1:
             raise AssertionError("sweep exceeded the segment bound")
@@ -589,7 +601,7 @@ def _sweep(tree, f, path=None, counters=None):
                 if rider_list:
                     _eliminate(rider_list[::-1], parent, children, fixed, n, t, z,
                                rate, s_arr, a_arr)
-                _spread(order, parent, active, z, rate)
+                _spread(order, parent, active, fixed, n, t, z, rate)
             path.append(PathState(
                 t=t, boundary=frozenset(r for r in range(1, q + 1) if fixed[r]),
                 z=np.array([t - n[r] if fixed[r] else z[r] for r in range(1, q + 1)]),
@@ -636,19 +648,8 @@ def _sweep(tree, f, path=None, counters=None):
                 riding += cnt[r]
                 cross[r] = neg_inf
         if drop:
-            if riding > riders:
-                # Parents first, so that a rider's free parent is marked.
-                before = len(rider_list)
-                for r in [r for r in free_desc if rate[r] == 1.0][::-1]:
-                    p = parent[r]
-                    if fixed[p] or rides[p]:
-                        rides[r] = True
-                        riders += cnt[r]
-                        rider_list.append(r)
-                if len(rider_list) > before:
-                    free_desc = [r for r in free_desc if not rides[r]]
             near = []
-            for p, (vs, ns) in list(groups.items()):
+            for p, (vs, ns) in groups.items():
                 c = rate[p]
                 if c < crossing_rate:
                     key = _group_key(z[p], t, c)
@@ -664,9 +665,6 @@ def _sweep(tree, f, path=None, counters=None):
                         near.append((pr, p, key, i))
                 else:
                     riding += len(vs)
-                    if rides[p]:
-                        riders += len(vs)
-                        del groups[p]
             if near and best > neg_inf:
                 # Leaves whose crossing points lie within the tie tolerance
                 # of the best leave their groups as free nodes, and join
@@ -700,45 +698,30 @@ def _sweep(tree, f, path=None, counters=None):
             if cnt[lead] == 1:
                 fixed[lead] = True
                 free_desc.remove(lead)
-                joined = 1
+                joins = [lead]
             else:
+                joins = []
                 i = free_desc.index(lead)
-                joined, free_desc[i:i + 1] = _split(
+                free_desc[i:i + 1] = _split(
                     lead, parent, children, n, hi, lo, cnt, fixed, active,
-                    z[lead], t, rate[lead], thresh)
+                    z[lead], t, rate[lead], thresh, joins)
         else:
             still_free = []
             keep = still_free.append
-            joined = 0
+            joins = []
             for r in free_desc:
                 if cross[r] < thresh:
                     keep(r)
                 elif cnt[r] == 1:
                     fixed[r] = True
-                    joined += 1
+                    joins.append(r)
                 else:
-                    k, stand = _split(r, parent, children, n, hi, lo, cnt, fixed,
-                                      active, z[r], t, rate[r], thresh)
-                    joined += k
-                    still_free += stand
+                    still_free += _split(r, parent, children, n, hi, lo, cnt, fixed,
+                                         active, z[r], t, rate[r], thresh, joins)
             free_desc = still_free
-        if drop:
-            # The free nodes below the best join ride from now on, and so do
-            # the leaves of each group whose parent joined.  Riders below the
-            # other joins of a tie leave at the next scan.  Leaving all of
-            # them to the scan costs each one more segment's visit: N(0, 1)
-            # chain columns at q = 300 and 2000 then ran 1.14-1.15x slower
-            # (2-core Xeon VM, interleaved); other columns were even.
-            if fixed[lead]:
-                k = _ride_below(lead, children, fixed, active, cnt, rides, groups,
-                                rider_list)
-                if k:
-                    riders += k
-                    free_desc = [r for r in free_desc if not rides[r]]
-            riders += _ride_groups(groups, fixed, active, rider_list)
         if watch:
-            due = ahead - joined
-        nfree -= joined
+            due = ahead - len(joins)
+        nfree -= len(joins)
         t = best
 
     if zs is None:
@@ -748,8 +731,8 @@ def _sweep(tree, f, path=None, counters=None):
             if rider_list:
                 _eliminate(rider_list[::-1], parent, children, fixed, n, t, z, rate,
                            s_arr, a_arr, counters)
-            # A node that a top or a group parent stands for takes its value,
-            # parents first, as :func:`_spread` would give it.
+            # A node that a top, a group parent or a boundary node stands for
+            # takes its value, parents first, as :func:`_spread` would give it.
             zs = [0.0] * (q + 1)
             for i in order:
                 if fixed[i]:
@@ -768,46 +751,37 @@ def _sweep(tree, f, path=None, counters=None):
     return t_star, zs, m, fstar, cost2, segments + passes
 
 
-def _ride_below(b, children, fixed, active, cnt, rides, groups, riders):
-    """Mark the active free nodes below the new boundary node ``b``, down to
-    the next boundary nodes, as riders, appending them parents first to
-    ``riders``; a group of leaves under one of them rides with it.  Returns
-    how many nodes ride, with the nodes they stand for."""
+def _ride(b, children, fixed, active, cnt, rides, groups, riders):
+    """Move to the riders what hangs below the new boundary node ``b``, down
+    to the next boundary nodes: the active free nodes, marked in ``rides``
+    and appended parents first to ``riders``, and the leaf groups of ``b``
+    and of those nodes, whose leaves keep their parent's value.  Returns how
+    many nodes ride, with the nodes they stand for."""
     count = 0
     stack = [b]
     while stack:
-        for c in children[stack.pop()]:
+        v = stack.pop()
+        if v in groups:
+            count += len(groups.pop(v)[0])
+        for c in children[v]:
             if active[c] and not fixed[c]:
                 rides[c] = True
                 riders.append(c)
                 count += cnt[c]
                 stack.append(c)
-                if c in groups:
-                    count += len(groups.pop(c)[0])
     return count
 
 
-def _ride_groups(groups, fixed, active, riders):
-    """Move the leaves of each group whose parent has joined to the list of
-    riders, and drop the group; returns how many leaves moved."""
-    moved = 0
-    for p in [p for p in groups if fixed[p]]:
-        vs = groups.pop(p)[0]
-        for v in vs:
-            active[v] = True
-        riders.extend(vs)
-        moved += len(vs)
-    return moved
-
-
-def _spread(order, parent, active, z, rate):
-    """Give every free node that a top or a group parent stands for its
-    value and slope, parents first."""
+def _spread(order, parent, active, fixed, n, t, z, rate):
+    """Give every free node that a top, a group parent or a boundary node
+    stands for its value and slope at ``t``, parents first."""
     for v in order:
         if not active[v]:
             p = parent[v]
-            z[v] = z[p]
-            rate[v] = rate[p]
+            if fixed[p]:
+                z[v], rate[v] = t - n[p], 1.0
+            else:
+                z[v], rate[v] = z[p], rate[p]
 
 
 def _tie_tolerance_block(t):

@@ -9,8 +9,9 @@ between bit-equal objectives (mathematically equal ones that differ in
 their last bits rank by those bits); the output is identical for any
 worker count.
 
-* bound: :func:`_child_bounds` carries :func:`_lower_bound_block` over to
-  forests, per component, and updates it per child in O(1) per column; a
+* bound: :func:`_child_bounds` bounds the cost of every tree completing a
+  forest from the half-space of each node's group and the even/odd depth
+  split, per component, and updates it per child in O(1) per column; a
   partial tree's penalty is bounded by the floor from :func:`resolve_penalty`;
 * first bar: before the walk, a beam of the 4k lowest-bound rows per level
   reaches 4k trees, which are scored exactly;
@@ -268,51 +269,6 @@ class _Open:
                      self.bound[index])
 
 
-def _lower_bound_block(parent, depth, fblock):
-    """Lower bounds on the squared projection cost of p columns on each of
-    B trees, with no segment loop.
-
-    ``parent`` and ``depth`` (B, q+1) are complete rows of the walk, and
-    ``fblock`` (p, q+1) holds the columns; column 0 of each is unused.
-    Returns a (B, p) array.
-
-    For one column y the model set is {F_1 = 1, F_u >= sum of F over the
-    children C(u), F >= 0}.  Since F >= 0, every node u >= 2 pays at least
-    min(y_u, 0)^2 and the root pays exactly (y_1 - 1)^2.  Against y+ =
-    max(y, 0), the constraint of a non-root u is a half-space on the group
-    {u} + C(u) at squared distance (sum_C y+_c - y+_u)+^2 / (|C(u)| + 1); the
-    root's group C(1) must sum to at most 1, at squared distance
-    (sum_C y+_c - 1)+^2 / |C(1)|.  Groups of nodes at even depths are
-    pairwise disjoint, and so are those at odd depths, so the larger of the
-    two families' sums adds to the bound.
-    """
-    fblock = np.asarray(fblock, dtype=float)
-    b, width = parent.shape
-    below = np.minimum(fblock[:, 2:], 0.0)
-    base = (fblock[:, 1] - 1.0) ** 2 + np.einsum("sj,sj->s", below, below)
-    slot = (parent[:, 2:] + width * np.arange(b)[:, None]).ravel()
-    # Group sizes: |C(u)| + 1, but |C(1)| at the root, where a childless
-    # root's term is 0 whatever its size.  Column 0 weighs nothing.
-    size = np.bincount(slot, minlength=b * width).reshape(b, width) + 1.0
-    size[:, 1] = np.maximum(size[:, 1] - 1.0, 1.0)
-    odd = (depth & 1).astype(bool)
-    odd_weight = np.where(odd, 1.0 / size, 0.0)
-    even_weight = np.where(odd, 0.0, 1.0 / size)
-    even_weight[:, 0] = 0.0
-    above = np.maximum(fblock, 0.0)
-    # The root's group is bounded by F_1 = 1 in place of its own entry.
-    above[:, 1] = 1.0
-    bound = np.empty((b, len(fblock)))
-    for s, y in enumerate(above):
-        kids = np.bincount(slot, weights=np.broadcast_to(y[2:], (b, width - 2)).ravel(),
-                           minlength=b * width).reshape(b, width)
-        gap = np.maximum(kids - y, 0.0)
-        gap *= gap
-        bound[:, s] = base[s] + np.maximum(np.einsum("bj,bj->b", gap, even_weight),
-                                           np.einsum("bj,bj->b", gap, odd_weight))
-    return bound
-
-
 def _child_bounds(rows, u, above, base):
     """Every child of the open ``rows`` at node u, and its bound.
 
@@ -323,13 +279,17 @@ def _child_bounds(rows, u, above, base):
     bound)``: each child's row in ``rows``, its parent of u, and a (C, p)
     bound on each column's squared cost.
 
-    This is :func:`_lower_bound_block` on a forest.  A node's group
-    holds it and its assigned children, with the term
+    For one column y the model set is {F_1 = 1, F_v >= sum of F over the
+    children C(v), F >= 0}; ``base`` is what F >= 0 and F_1 = 1 cost alone.
+    A node's group holds it and its assigned children, with the term
     (sum of above over C(v) - above_v)+^2 / (|C(v)| + 1), or / |C(1)| at the
-    root; F_v >= sum F_c over every child implies it over the assigned
-    ones, so the term holds for every completion.  Groups from different
-    components are disjoint, so each component adds the larger of its
-    terms' sums at even and at odd depth below its root.  The sums are
+    root: the squared distance of max(y, 0) from the half-space F_v >= sum
+    F_c over the group, with F_1 = 1 in place of the root's own entry.
+    F_v >= sum F_c over every child implies it over the assigned ones, so
+    the term holds for every completion.  Groups at even depths below a
+    component's root are pairwise disjoint, so are those at odd depths, and
+    groups from different components are disjoint, so each component adds
+    the larger of its terms' sums at even and at odd depth.  The sums are
     rebuilt for every row, in O(q) per column; a child then changes one
     term and joins two components, in O(1) per column.
     """

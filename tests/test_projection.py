@@ -1066,6 +1066,42 @@ class TestStandIns:
             tree = _broom(q) if shape == "broom" else _caterpillar(q, rng)
             self._check(tree, _column(kind, tree, rng))
 
+    @pytest.mark.parametrize("kind", ["normal", "quantized", "integer"])
+    @pytest.mark.parametrize("shape", SHAPES + ("broom", "caterpillar"))
+    def test_segments_never_visit_a_rider(self, shape, kind, monkeypatch):
+        # A free node with a boundary ancestor rides from the moment that
+        # ancestor joins, the initial boundary set included: a segment's
+        # elimination holds no such node, and the pass that writes out the
+        # riders holds nothing else.  The finish never certifies here, so
+        # that the sweep runs every segment.
+        monkeypatch.setattr(projection, "_active_set", lambda *args, **kwargs: None)
+        real = projection._eliminate
+        calls = {"segment": 0, "riders": 0, "mixed": 0}
+
+        def spy(free_desc, parent, children, fixed, *args, **kwargs):
+            below = [False] * len(parent)
+            for v in order:
+                p = parent[v]
+                below[v] = below[p] or fixed[p]
+            riding = sum(below[v] for v in free_desc)
+            calls["segment" if not riding else
+                  "riders" if riding == len(free_desc) else "mixed"] += 1
+            return real(free_desc, parent, children, fixed, *args, **kwargs)
+
+        monkeypatch.setattr(projection, "_eliminate", spy)
+        rng = np.random.default_rng([27, len(shape), len(kind)])
+        for _ in range(3):
+            if shape == "broom":
+                tree = _broom(300)
+            elif shape == "caterpillar":
+                tree = _caterpillar(300, rng)
+            else:
+                tree = _tree(shape, 300, rng)
+            order = tree.bfs_order()
+            project(tree, _column(kind, tree, rng))
+        assert calls["mixed"] == 0, calls
+        assert calls["segment"] > 0
+
     def test_slope_one_above_the_boundary_is_no_rider(self, monkeypatch):
         # All mass on a caterpillar's leaves: once most leaves have joined,
         # the slopes of the deep path nodes round to exactly 1.0 with no

@@ -22,7 +22,6 @@ from ppmproj.projection import DegeneracyError, _sweep, _sweep_block
 from ppmproj.search import (
     _SCREEN_SLACK,
     _evaluate_tree,
-    _lower_bound_block,
     _Walk,
     resolve_penalty,
     resolve_scaling,
@@ -152,6 +151,52 @@ class TestSweepBlock:
         cost2 = _sweep_block(parent, depth, np.array(col))
         want = _sweep(_tree_from_parent(parent[0].tolist()), col)[4]
         assert abs(cost2[0] - want) <= 1e-12 * max(1.0, want)
+
+
+def _lower_bound_block(parent, depth, fblock):
+    """Lower bounds on the squared projection cost of p columns on each of
+    B trees, with no segment loop.
+
+    ``parent`` and ``depth`` (B, q+1) are complete rows of the walk, and
+    ``fblock`` (p, q+1) holds the columns; column 0 of each is unused.
+    Returns a (B, p) array.
+
+    For one column y the model set is {F_1 = 1, F_u >= sum of F over the
+    children C(u), F >= 0}.  Since F >= 0, every node u >= 2 pays at least
+    min(y_u, 0)^2 and the root pays exactly (y_1 - 1)^2.  Against y+ =
+    max(y, 0), the constraint of a non-root u is a half-space on the group
+    {u} + C(u) at squared distance (sum_C y+_c - y+_u)+^2 / (|C(u)| + 1); the
+    root's group C(1) must sum to at most 1, at squared distance
+    (sum_C y+_c - 1)+^2 / |C(1)|.  Groups of nodes at even depths are
+    pairwise disjoint, and so are those at odd depths, so the larger of the
+    two families' sums adds to the bound.  On complete trees it is the bound
+    that ``search._child_bounds`` carries over to forests.
+    """
+    fblock = np.asarray(fblock, dtype=float)
+    b, width = parent.shape
+    below = np.minimum(fblock[:, 2:], 0.0)
+    base = (fblock[:, 1] - 1.0) ** 2 + np.einsum("sj,sj->s", below, below)
+    slot = (parent[:, 2:] + width * np.arange(b)[:, None]).ravel()
+    # Group sizes: |C(u)| + 1, but |C(1)| at the root, where a childless
+    # root's term is 0 whatever its size.  Column 0 weighs nothing.
+    size = np.bincount(slot, minlength=b * width).reshape(b, width) + 1.0
+    size[:, 1] = np.maximum(size[:, 1] - 1.0, 1.0)
+    odd = (depth & 1).astype(bool)
+    odd_weight = np.where(odd, 1.0 / size, 0.0)
+    even_weight = np.where(odd, 0.0, 1.0 / size)
+    even_weight[:, 0] = 0.0
+    above = np.maximum(fblock, 0.0)
+    # The root's group is bounded by F_1 = 1 in place of its own entry.
+    above[:, 1] = 1.0
+    bound = np.empty((b, len(fblock)))
+    for s, y in enumerate(above):
+        kids = np.bincount(slot, weights=np.broadcast_to(y[2:], (b, width - 2)).ravel(),
+                           minlength=b * width).reshape(b, width)
+        gap = np.maximum(kids - y, 0.0)
+        gap *= gap
+        bound[:, s] = base[s] + np.maximum(np.einsum("bj,bj->b", gap, even_weight),
+                                           np.einsum("bj,bj->b", gap, odd_weight))
+    return bound
 
 
 def lower_bounds_and_costs(q, fhat):

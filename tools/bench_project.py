@@ -33,7 +33,8 @@ times both on every column, alternating which goes first, ``--repeats``
 calls each.  Its records add the other tree's commit and times
 (``against_commit``, ``against_wall_ms``), the per-column ratio of this
 tree's time to the other's (``ratio``, with ``ratio_median``), and per
-column whether cost, m* and f* match byte for byte (``same``):
+column whether t*, z*, m*, f*, cost and iterations match byte for byte
+(``same``):
 
     PYTHONPATH=src python tools/bench_project.py --q 2000 --repeats 5 --against ../parent
 """
@@ -102,10 +103,14 @@ def timed(package, tree, col):
 
 
 def same_result(a, b):
-    """Whether two results agree on cost, m* and f*, byte for byte."""
-    return (float(a.cost).hex() == float(b.cost).hex()
+    """Whether two results agree on t*, z*, m*, f*, cost and iterations,
+    byte for byte."""
+    return (float(a.t_star).hex() == float(b.t_star).hex()
+            and float(a.cost).hex() == float(b.cost).hex()
+            and a.z_star.tobytes() == b.z_star.tobytes()
             and a.m_star.tobytes() == b.m_star.tobytes()
-            and a.f_star.tobytes() == b.f_star.tobytes())
+            and a.f_star.tobytes() == b.f_star.tobytes()
+            and a.iterations == b.iterations)
 
 
 def cell(regime, shape, q, args, seen, against):
