@@ -943,6 +943,8 @@ def project_matrix(tree: RootedTree, fhat):
     (the matrix objective decomposes column-wise after squaring).
     """
     mat = np.asarray(fhat, dtype=float)
+    if mat.ndim not in (1, 2):
+        raise ValueError(f"frequency matrix must be 1-D or 2-D, got {mat.ndim}-D")
     if mat.ndim == 1:
         mat = mat[:, None]
     if mat.shape[0] != tree.q:

@@ -14,7 +14,9 @@ worker count.
   split, per component, and updates it per child in O(1) per column; a
   partial tree's penalty is bounded by the floor from :func:`resolve_penalty`;
 * first bar: before the walk, a beam of the 4k lowest-bound rows per level
-  reaches 4k trees, which are scored exactly;
+  reaches 4k trees, which are scored exactly in bound order until the bar
+  rules the rest out (a tree is skipped once its lower objective exceeds
+  the k-th best score so far); the walk reuses those scores;
 * walk: one recursive descent, depth first, in steps of at most ``_BLOCK``
   rows, lowest bound first and, among equal bounds, tightest fit first; the
   first row whose lower objective at the penalty floor exceeds the bar ends
@@ -168,7 +170,8 @@ class SearchReport:
     the partial and complete trees whose bound was computed, the beam's
     included; ``trees_swept`` the complete trees that passed the bound and
     reached the block sweep; ``trees_rescored`` those that passed the block
-    screen and were scored again by the scalar sweep.  The three counts
+    screen and were scored by the scalar sweep, counting those whose score
+    the walk took from the first bar's beam.  The three counts
     depend on the worker count and on whether the search forked, since
     each share tightens its own bar; the ranking does not."""
 
@@ -377,8 +380,9 @@ def _deal(rows, workers):
 
 
 class _Walk:
-    """One search's data, objective and bar, with the running top k and the
-    counts of the share being walked."""
+    """One search's data, objective and bar, with the running top k, the
+    counts of the share being walked and the exact scores of the first
+    bar's beam that the walk has not reached yet."""
 
     def __init__(self, spec):
         self.q = q = spec.q
@@ -397,6 +401,8 @@ class _Walk:
         self.step = max(1, _BLOCK // q)
         self.bar = math.inf
         self.top = []
+        # The beam's exact scores by parent row bytes, at most 4k of them.
+        self.beam = {}
         self.swept = self.rescored = self.bounded = 0
 
     def _lower(self, bound, pen):
@@ -423,11 +429,22 @@ class _Walk:
 
     def first_bar(self):
         """Set the bar to the k-th best exact objective among the trees
-        reached by a beam of the 4k lowest-bound rows per level."""
+        reached by a beam of the 4k lowest-bound rows per level.
+
+        The trees are scored in bound order, and a tree whose lower
+        objective already exceeds the bar is skipped: its objective cannot
+        lower the k-th best, so the bar is the one scoring all of them
+        sets.  The scores are kept for :meth:`_rescore`.
+        """
         rows = self._root()
         for u in range(2, self.q + 1):
             rows = self._expand(rows, u).take(slice(0, 4 * self.k))
-        self._rescore(rows.parent, self.penalty(rows.parent), np.arange(len(rows)))
+        parent, pens = rows.parent, self.penalty(rows.parent)
+        for i, lower in enumerate(self._lower(rows.bound, pens).tolist()):
+            if lower > self.bar:
+                continue
+            scored = self.beam[parent[i].tobytes()] = self._score(parent[i], pens[i])
+            self._insert(*scored)
 
     def open_rows(self):
         """Expand whole levels while a level fits in one step of the walk,
@@ -522,19 +539,33 @@ class _Walk:
             [done[_lower_objective(cost, pen, self.jfn_block) <= self.bar]] + flagged))
 
     def _rescore(self, parent, pens, index):
-        """Score the trees ``parent[index]`` exactly into the running top k."""
-        k = self.k
+        """Score the trees ``parent[index]`` exactly into the running top k.
+
+        A tree that :meth:`first_bar` scored takes its stored score, since
+        the walk reaches every tree at most once; it counts as rescored all
+        the same."""
         self.rescored += len(index)
         for i in index.tolist():
-            tree = _tree_from_parent(parent[i].tolist())
-            obj, cost, m_cols, f_cols = _evaluate_tree(tree, self.fcols, self.jfn,
-                                                       float(pens[i]))
-            if len(self.top) >= k and obj > self.top[-1][0]:
-                continue
-            bisect.insort(self.top, (obj, encode_prufer(tree), cost, m_cols, f_cols))
-            del self.top[k:]
-            if len(self.top) >= k:
-                self.bar = min(self.bar, self.top[-1][0])
+            scored = self.beam.pop(parent[i].tobytes(), None)
+            if scored is None:
+                scored = self._score(parent[i], pens[i])
+            self._insert(*scored)
+
+    def _score(self, row, pen):
+        """The tree with parent ``row`` and its ``_evaluate_tree`` result."""
+        tree = _tree_from_parent(row.tolist())
+        return (tree, *_evaluate_tree(tree, self.fcols, self.jfn, float(pen)))
+
+    def _insert(self, tree, obj, cost, m_cols, f_cols):
+        """Put one scored tree into the running top k, and lower the bar to
+        the k-th best objective once there are k."""
+        k = self.k
+        if len(self.top) >= k and obj > self.top[-1][0]:
+            return
+        bisect.insort(self.top, (obj, encode_prufer(tree), cost, m_cols, f_cols))
+        del self.top[k:]
+        if len(self.top) >= k:
+            self.bar = min(self.bar, self.top[-1][0])
 
 
 def _walk_share(walk, rows, u, conn):

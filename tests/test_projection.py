@@ -214,6 +214,12 @@ class TestProjectMatrix:
         with pytest.raises(ValueError):
             project_matrix(chain(2), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (3, 2, 2), ()])
+    def test_other_than_one_or_two_dimensions_rejected(self, shape):
+        tree = RootedTree.from_parent_array([0, 1, 1])
+        with pytest.raises(ValueError, match=f"must be 1-D or 2-D, got {len(shape)}-D"):
+            project_matrix(tree, np.full(shape, 0.2))
+
     @pytest.mark.parametrize("scale", [1.4e154, 1e300])
     def test_costs_past_the_square_overflow_are_finite(self, scale):
         tree = RootedTree.from_parent_array([0, 1, 1, 2])

@@ -407,7 +407,7 @@ class TestScreen:
         _, fhat = random_instance(q, p=3, rng=rng, feasible=True)
         spec = SearchSpec(fhat=fhat + 0.01 * rng.standard_normal(fhat.shape), k=k)
         sweep_rows = search_mod._sweep_rows
-        evaluate = search_mod._evaluate_tree
+        rescore = _Walk._rescore
         swept = []
         scored = []
 
@@ -421,18 +421,19 @@ class TestScreen:
             swept.extend(map(tuple, chosen.tolist()))
             return sweep_rows(rows, parent, depth, fblock, tail, pens, bar, jfn_block)
 
-        def recording_evaluate(tree, *args):
-            scored.append(tree.parent)
-            return evaluate(tree, *args)
+        def recording_rescore(walk, parent, pens, index):
+            # The walk's exact scores, those it takes from the beam included.
+            scored.extend(map(tuple, parent[index].tolist()))
+            return rescore(walk, parent, pens, index)
 
         monkeypatch.setattr(search_mod, "_BLOCK", 1000)
         monkeypatch.setattr(search_mod, "_sweep_rows", recording_sweep)
-        monkeypatch.setattr(search_mod, "_evaluate_tree", recording_evaluate)
+        monkeypatch.setattr(_Walk, "_rescore", recording_rescore)
         report = search_all(spec)
         assert_ranking_equals(report, reference_ranking(spec)[:k])
-        # The beam scores 4k trees for the first bar; the walk's leaves
-        # score the others exactly or sweep them.
-        walk_scored = len(scored) - min(4 * k, count_trees(q))
+        # The walk's leaves score trees exactly or sweep them.
+        walk_scored = len(scored)
+        assert walk_scored == report.trees_rescored
         assert len(set(swept)) == len(swept)
         assert len(swept) <= report.trees_swept <= walk_scored + len(swept)
         assert report.trees_rescored <= report.trees_swept <= 0.01 * report.trees_evaluated
@@ -442,6 +443,78 @@ class TestScreen:
         spec = SearchSpec(fhat=fhat + 0.01 * rng.standard_normal(fhat.shape), k=k)
         report = search_all(spec)
         assert report.trees_swept <= report.nodes_bounded <= 0.01 * 8 ** 6
+
+
+def beam_rows(spec):
+    """The complete trees that the beam of ``_Walk.first_bar`` reaches."""
+    walk = _Walk(spec)
+    rows = walk._root()
+    for u in range(2, spec.q + 1):
+        rows = walk._expand(rows, u).take(slice(0, 4 * spec.k))
+    return rows
+
+
+def planted_spec(q, seed, k=5):
+    """Near-feasible data on a planted tree, as the benchmark's search draws it."""
+    rng = np.random.default_rng(seed)
+    _, fhat = random_instance(q, p=3, rng=rng, feasible=True)
+    return SearchSpec(fhat=fhat + 0.01 / math.sqrt(q) * rng.standard_normal(fhat.shape), k=k)
+
+
+class TestFirstBar:
+    @pytest.mark.parametrize("scaling", ["identity", "log1p", "square"])
+    @pytest.mark.parametrize("penalty", ["zero", "leaves:0.3", custom_penalty])
+    @pytest.mark.parametrize("kind", ["normal", "feasible", "quantized"])
+    def test_bar_equals_scoring_the_whole_beam(self, scaling, penalty, kind):
+        rng = np.random.default_rng(17)
+        for q in range(4, 8):
+            fhat = bound_columns(kind, q, rng)
+            # At q=4, k=20 is larger than the beam, which holds all 16 trees.
+            for k in (1, 5, 20):
+                spec = SearchSpec(fhat=fhat, k=k, scaling=scaling, penalty=penalty)
+                walk = _Walk(spec)
+                rows = beam_rows(spec)
+                pens = walk.penalty(rows.parent)
+                objectives = sorted(
+                    _evaluate_tree(_tree_from_parent(row), walk.fcols, walk.jfn, float(pen))[0]
+                    for row, pen in zip(rows.parent.tolist(), pens))
+                reference = objectives[k - 1] if len(objectives) >= k else math.inf
+                walk.first_bar()
+                assert float(walk.bar).hex() == float(reference).hex()
+                assert len(walk.beam) <= len(rows)
+
+    def test_beam_skips_trees_that_cannot_lower_the_bar(self, monkeypatch):
+        k = 5
+        spec = planted_spec(7, 1, k)
+        assert len(beam_rows(spec)) == 4 * k
+        evaluate = search_mod._evaluate_tree
+        scored = []
+
+        def recording(tree, *args):
+            scored.append(tree.parent)
+            return evaluate(tree, *args)
+
+        monkeypatch.setattr(search_mod, "_evaluate_tree", recording)
+        walk = _Walk(spec)
+        walk.first_bar()
+        assert k <= len(scored) < 4 * k
+        assert len(walk.beam) == len(scored)
+
+    @pytest.mark.parametrize("spec", [planted_spec(7, 2), planted_spec(7, 3, k=1)])
+    def test_no_tree_is_scored_twice(self, spec, monkeypatch):
+        evaluate = search_mod._evaluate_tree
+        scored = []
+
+        def recording(tree, *args):
+            scored.append(tuple(tree.parent))
+            return evaluate(tree, *args)
+
+        monkeypatch.setattr(search_mod, "_evaluate_tree", recording)
+        report = search_all(spec, workers=1)
+        assert len(set(scored)) == len(scored)
+        # The walk counts the scores it takes from the beam as its own.
+        assert report.trees_rescored <= len(scored)
+        assert_ranking_equals(report, reference_ranking(spec)[:spec.k])
 
 
 class _Pipe:
@@ -629,14 +702,16 @@ class TestWorkerCount:
 
     def test_cli_exits_3_when_a_child_degenerates(self, tmp_path, monkeypatch, capsys):
         caller = os.getpid()
-        sweep = search_mod._sweep
+        child_bounds = search_mod._child_bounds
 
-        def degenerate_in_children(tree, f):
+        # Here the children score no tree the beam has not scored, and sweep
+        # no block, but each bounds the children of its rows.
+        def degenerate_in_children(rows, u, above, base):
             if os.getpid() != caller:
                 raise DegeneracyError("forced in a child")
-            return sweep(tree, f)
+            return child_bounds(rows, u, above, base)
 
-        monkeypatch.setattr(search_mod, "_sweep", degenerate_in_children)
+        monkeypatch.setattr(search_mod, "_child_bounds", degenerate_in_children)
         _fork_at_first_level(monkeypatch)
         matrix = tmp_path / "m.csv"
         np.savetxt(matrix, np.random.default_rng(1).standard_normal((6, 2)), delimiter=",")

@@ -8,7 +8,9 @@ outside a git checkout), the wall time, the counts of the report (null for
 a source tree whose report lacks one), the peak resident set of this
 process or its largest child, and the sha256 of the ranking as
 ``tools/search_hash.py`` writes it, so that runs of two source trees can be
-compared.  Run it against the source tree to be timed:
+compared.  ``scalar_scores`` counts the exact scores of this process, the
+calls of ``search._evaluate_tree`` seen by a spy; the scores of forked
+shares are not counted.  Run it against the source tree to be timed:
 
     PYTHONPATH=src python tools/bench_search.py --regime nearfeasible --q 10
 """
@@ -28,6 +30,7 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
 
 import inputs  # noqa: E402
 import ppmproj  # noqa: E402
+from ppmproj import search  # noqa: E402
 from search_hash import report_lines  # noqa: E402
 
 
@@ -50,6 +53,20 @@ def peak_rss_mb():
     return round(max(own, children) / 1024.0, 1)
 
 
+def count_scalar_scores():
+    """Wrap ``search._evaluate_tree`` in a spy; return its list of calls,
+    one None per call made in this process."""
+    calls = []
+    evaluate = search._evaluate_tree
+
+    def spy(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    search._evaluate_tree = spy
+    return calls
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--regime", choices=inputs.REGIMES, default="nearfeasible")
@@ -62,6 +79,7 @@ def main(argv=None):
 
     parents, fhat = inputs.search_instance(args.regime, args.q, args.p, args.seed, 0)
     spec = ppmproj.SearchSpec(fhat=fhat, k=args.k)
+    scores = count_scalar_scores()
     start = time.perf_counter()
     report = ppmproj.search_all(spec, workers=args.workers, force=True)
     wall = time.perf_counter() - start
@@ -79,6 +97,7 @@ def main(argv=None):
         "trees_swept": getattr(report, "trees_swept", None),
         "trees_rescored": report.trees_rescored,
         "nodes_bounded": getattr(report, "nodes_bounded", None),
+        "scalar_scores": len(scores),
         "peak_rss_mb": peak_rss_mb(),
         "report_sha256": digest.hexdigest(),
         "best_code": list(report.ranked[0].code),
